@@ -17,17 +17,15 @@
 //      nodes overlap while the single pump thread keeps moving frames.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <memory>
-#include <thread>
+#include <string>
 #include <vector>
 
 #include "adversary/examples.hpp"
-#include "common/work_pool.hpp"
 #include "crypto/batch.hpp"
 #include "crypto/dealer.hpp"
 #include "crypto/shamir.hpp"
-#include "net/transport/loopback.hpp"
-#include "net/transport/networked_node.hpp"
 #include "protocols/atomic.hpp"
 #include "protocols/harness.hpp"
 
@@ -189,80 +187,24 @@ BENCHMARK(BM_Tdh2VerifyBatch)
 
 // ---- macro: E3 atomic broadcast with 0/1/2/4 pool workers -------------------
 
-using net::transport::LoopbackHub;
-using net::transport::NetworkedNode;
 using protocols::AtomicBroadcast;
-using protocols::HostedParty;
 
 struct AbcState {
   std::unique_ptr<AtomicBroadcast> abc;
-  std::size_t delivered = 0;
+  std::atomic<std::size_t> delivered{0};
 };
 
-/// The networked_node_test cluster, plus one WorkPool per node: the
-/// deterministic single-pump-thread stand-in for the TCP deployment, which
-/// is exactly where worker threads are allowed to exist.
-struct PipelineCluster {
-  LoopbackHub hub;
-  std::vector<std::unique_ptr<common::WorkPool>> pools;
-  std::vector<std::unique_ptr<NetworkedNode>> nodes;
-  std::vector<std::unique_ptr<HostedParty<AbcState>>> hosts;
-
-  PipelineCluster(const adversary::Deployment& deployment, std::uint64_t seed,
-                  std::size_t workers)
-      : hub(deployment.n(), seed) {
-    const int n = deployment.n();
-    for (int id = 0; id < n; ++id) {
-      NetworkedNode::Config config;
-      config.node_id = id;
-      config.n = n;
-      auto node = std::make_unique<NetworkedNode>(config);
-      auto pool = std::make_unique<common::WorkPool>(workers);
-      auto host = std::make_unique<HostedParty<AbcState>>(
-          *node, id, deployment, seed * 7919 + static_cast<std::uint64_t>(id),
-          [](net::Party& party) {
-            auto state = std::make_unique<AbcState>();
-            state->abc = std::make_unique<AtomicBroadcast>(
-                party, "abc", [s = state.get()](int, Bytes) { ++s->delivered; });
-            return state;
-          });
-      host->party().set_work_pool(pool.get());
-      node->set_work_pool(pool.get());
-      node->attach(*host);
-      node->bind_transport(
-          [this, id](int peer, Bytes payload) { hub.send(id, peer, std::move(payload)); });
-      hub.set_receiver(id, [raw = node.get()](int from, BytesView payload) {
-        raw->on_transport_receive(from, payload);
-      });
-      pools.push_back(std::move(pool));
-      nodes.push_back(std::move(node));
-      hosts.push_back(std::move(host));
+/// Pump until every node delivered `payloads` (done() reads atomics: with
+/// executors, handlers run off the pump thread).
+template <typename State>
+bool run_until_each_delivered(protocols::NodeCluster<State>& cluster, std::size_t payloads) {
+  return cluster.run_until([&] {
+    for (int id = 0; id < cluster.n(); ++id) {
+      if (cluster.state(id).delivered.load(std::memory_order_relaxed) < payloads) return false;
     }
-  }
-
-  bool run_until_each_delivered(std::size_t payloads, std::size_t max_iters = 50'000'000) {
-    auto done = [&] {
-      for (auto& host : hosts) {
-        if (host->protocol().delivered < payloads) return false;
-      }
-      return true;
-    };
-    for (std::size_t iter = 0; iter < max_iters; ++iter) {
-      if (done()) return true;
-      bool progressed = false;
-      for (auto& node : nodes) progressed = (node->poll() > 0) || progressed;
-      progressed = hub.step() || progressed;
-      if (!progressed) {
-        // Nothing on the wires and no drained completions: either a
-        // combine is still in flight on a worker (yield and re-poll) or
-        // retransmission is due (tick is a no-op when it isn't).
-        hub.tick();
-        std::this_thread::yield();
-      }
-    }
-    return done();
-  }
-};
+    return true;
+  });
+}
 
 void BM_E3AtomicPipeline(benchmark::State& state) {
   const auto workers = static_cast<std::size_t>(state.range(0));
@@ -280,12 +222,25 @@ void BM_E3AtomicPipeline(benchmark::State& state) {
     // Cluster build (thread spawn) and teardown (worker joins) stay
     // outside the timed region; only submit-to-last-delivery is measured.
     state.PauseTiming();
-    auto cluster = std::make_unique<PipelineCluster>(deployment, ++seed, workers);
+    // One WorkPool per node: the deterministic single-pump-thread
+    // stand-in for the TCP deployment, which is exactly where worker
+    // threads are allowed to exist.
+    auto cluster = std::make_unique<protocols::NodeCluster<AbcState>>(
+        protocols::NodeCluster<AbcState>::Config{
+            .groups = {deployment}, .seed = ++seed, .workers = workers},
+        [](net::Party& party, int, std::uint32_t) {
+          auto abc = std::make_unique<AbcState>();
+          abc->abc = std::make_unique<AtomicBroadcast>(
+              party, "abc", [s = abc.get()](int, Bytes) {
+                s->delivered.fetch_add(1, std::memory_order_relaxed);
+              });
+          return abc;
+        });
     state.ResumeTiming();
     for (std::size_t k = 0; k < kPayloads; ++k) {
-      cluster->hosts[k % kN]->protocol().abc->submit(bytes_of("pay" + std::to_string(k)));
+      cluster->state(static_cast<int>(k % kN)).abc->submit(bytes_of("pay" + std::to_string(k)));
     }
-    live = cluster->run_until_each_delivered(kPayloads) && live;
+    live = run_until_each_delivered(*cluster, kPayloads) && live;
     state.PauseTiming();
     cluster.reset();
     state.ResumeTiming();
@@ -293,10 +248,12 @@ void BM_E3AtomicPipeline(benchmark::State& state) {
   if (!live) state.SkipWithError("atomic broadcast did not deliver");
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kPayloads));
 }
+// Real time: with workers, verification runs off the main thread.
 BENCHMARK(BM_E3AtomicPipeline)
     ->Args({0, 0})->Args({1, 0})->Args({2, 0})->Args({4, 0})
     ->Args({0, 1})->Args({2, 1})
     ->Args({0, 2})->Args({2, 2})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // ---- macro: multi-group atomic broadcast with 0/1/2/4 protocol executors ----
@@ -317,87 +274,6 @@ struct MultiAbcState {
   std::atomic<std::size_t> delivered{0};  ///< read by the pump's done()
 };
 
-struct ExecutorCluster {
-  LoopbackHub hub;
-  std::vector<std::unique_ptr<NetworkedNode>> nodes;
-  std::vector<std::unique_ptr<HostedParty<MultiAbcState>>> hosts;
-  // Declared last: pools stop (draining tasks that touch parties and
-  // nodes) before anything they reference is destroyed.
-  std::vector<std::unique_ptr<common::ExecutorPool>> execs;
-
-  ExecutorCluster(const adversary::Deployment& deployment, std::uint64_t seed,
-                  std::size_t executors)
-      : hub(deployment.n(), seed) {
-    const int n = deployment.n();
-    for (int id = 0; id < n; ++id) {
-      NetworkedNode::Config config;
-      config.node_id = id;
-      config.n = n;
-      auto node = std::make_unique<NetworkedNode>(config);
-      auto pool = std::make_unique<common::ExecutorPool>(executors);
-      auto host = std::make_unique<HostedParty<MultiAbcState>>(
-          *node, id, deployment, seed * 7919 + static_cast<std::uint64_t>(id),
-          [&pool](net::Party& party) {
-            party.set_executors(pool.get());
-            auto state = std::make_unique<MultiAbcState>();
-            for (int g = 0; g < kGroups; ++g) {
-              const std::string tag = "abc" + std::to_string(g);
-              // Construction inside with_instance: timers the stack arms
-              // while being built are attributed to this group's executor.
-              party.with_instance(tag, [&] {
-                state->groups.push_back(std::make_unique<AtomicBroadcast>(
-                    party, tag, [s = state.get()](int, Bytes) {
-                      s->delivered.fetch_add(1, std::memory_order_relaxed);
-                    }));
-              });
-            }
-            return state;
-          });
-      node->set_executors(pool.get());
-      node->attach(*host);
-      // Batched transport: every payload the executors buffered during
-      // one pump cycle rides one BATCH super-frame per peer.
-      node->bind_transport_batched([this, id](int peer, std::vector<net::transport::GroupPayload> payloads) {
-        hub.send_many(id, peer, std::move(payloads));
-      });
-      hub.set_receiver(id, [raw = node.get()](int from, BytesView payload) {
-        raw->on_transport_receive(from, payload);
-      });
-      nodes.push_back(std::move(node));
-      hosts.push_back(std::move(host));
-      execs.push_back(std::move(pool));
-    }
-  }
-
-  ~ExecutorCluster() {
-    for (auto& pool : execs) pool->stop();
-  }
-
-  bool run_until_each_delivered(std::size_t payloads, std::size_t max_iters = 50'000'000) {
-    auto done = [&] {
-      for (auto& host : hosts) {
-        if (host->protocol().delivered.load(std::memory_order_relaxed) < payloads) return false;
-      }
-      return true;
-    };
-    for (std::size_t iter = 0; iter < max_iters; ++iter) {
-      if (done()) return true;
-      bool progressed = false;
-      for (auto& node : nodes) progressed = (node->poll() > 0) || progressed;
-      progressed = hub.step() || progressed;
-      if (!progressed) {
-        // Handlers may still be running on executors; settle them so
-        // their outbound sends reach the outboxes, then retransmit.
-        for (auto& pool : execs) pool->wait_idle();
-        for (auto& node : nodes) node->poll();
-        hub.tick();
-        std::this_thread::yield();
-      }
-    }
-    return done();
-  }
-};
-
 void BM_E3AtomicExecutors(benchmark::State& state) {
   const auto executors = static_cast<std::size_t>(state.range(0));
   constexpr int kN = 4;
@@ -412,18 +288,35 @@ void BM_E3AtomicExecutors(benchmark::State& state) {
   bool live = true;
   for (auto _ : state) {
     state.PauseTiming();
-    auto cluster = std::make_unique<ExecutorCluster>(deployment, ++seed, executors);
+    auto cluster = std::make_unique<protocols::NodeCluster<MultiAbcState>>(
+        protocols::NodeCluster<MultiAbcState>::Config{
+            .groups = {deployment}, .seed = ++seed, .executors = executors},
+        [](net::Party& party, int, std::uint32_t) {
+          auto multi = std::make_unique<MultiAbcState>();
+          for (int g = 0; g < kGroups; ++g) {
+            const std::string tag = "abc" + std::to_string(g);
+            // Construction inside with_instance: timers the stack arms
+            // while being built are attributed to this group's executor.
+            party.with_instance(tag, [&] {
+              multi->groups.push_back(std::make_unique<AtomicBroadcast>(
+                  party, tag, [s = multi.get()](int, Bytes) {
+                    s->delivered.fetch_add(1, std::memory_order_relaxed);
+                  }));
+            });
+          }
+          return multi;
+        });
     state.ResumeTiming();
     for (std::size_t k = 0; k < kPayloads; ++k) {
       const int g = static_cast<int>(k) % kGroups;
-      auto& host = *cluster->hosts[k % kN];
+      auto& host = cluster->host(static_cast<int>(k % kN));
       host.party().with_instance("abc" + std::to_string(g), [&] {
         host.protocol().groups[static_cast<std::size_t>(g)]->submit(
             bytes_of("pay" + std::to_string(k)));
       });
     }
     // Every node delivers every submitted payload (once, atomically).
-    live = cluster->run_until_each_delivered(kPayloads) && live;
+    live = run_until_each_delivered(*cluster, kPayloads) && live;
     state.PauseTiming();
     cluster.reset();
     state.ResumeTiming();
@@ -431,9 +324,11 @@ void BM_E3AtomicExecutors(benchmark::State& state) {
   if (!live) state.SkipWithError("atomic broadcast did not deliver");
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kPayloads));
 }
+// Real time: handlers run on executor threads, not the main thread.
 BENCHMARK(BM_E3AtomicExecutors)
     ->Args({0, 0})->Args({1, 0})->Args({2, 0})->Args({4, 0})
     ->Args({0, 2})->Args({4, 2})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -8,6 +8,9 @@
 # one deduplicated summary of all regressed suites follows the sweep
 # (the script exits 1 under --strict).
 #
+# Rows timed with UseRealTime() carry a trailing "/real_time" in their
+# names; every parser below drops it before reading the arguments.
+#
 # Usage: bench/run_bench.sh [--strict] [build-dir]
 # Defaults: build/; output JSONs land at the repo root (BENCH_E7.json,
 # BENCH_E13.json, BENCH_E16.json, BENCH_E17.json), overwriting the
@@ -40,7 +43,7 @@ families = defaultdict(dict)  # (family-with-non-backend-args) -> label -> ns
 for b in data.get("benchmarks", []):
     if b.get("run_type") == "aggregate" or not b.get("label"):
         continue
-    parts = b["name"].split("/")
+    parts = [p for p in b["name"].split("/") if p != "real_time"]
     key = "/".join(parts[:-1])  # strip trailing backend selector
     families[key][b["label"]] = float(b["real_time"])
 
@@ -78,7 +81,7 @@ curves = defaultdict(dict)  # backend label -> executors -> ms
 for b in data.get("benchmarks", []):
     if b.get("run_type") == "aggregate":
         continue
-    parts = b["name"].split("/")
+    parts = [p for p in b["name"].split("/") if p != "real_time"]
     if parts[0] != "BM_E3AtomicExecutors" or len(parts) != 3:
         continue
     curves[b.get("label", parts[2])][int(parts[1])] = float(b["real_time"])
@@ -106,9 +109,9 @@ EOF
 # shard_scaling <bench.json>: shard-scaling table for the
 # BM_E17ShardedAtomic family (issue 10).  Rows are named
 # BM_E17ShardedAtomic/<shards>; items_per_second is the AGGREGATE
-# committed request rate across all shards, so the curve is that rate's
-# ratio over the S=1 row.  On a 1-core container the curve flattens —
-# the multi-core CI bench job records the real one.  Returns 1 when the
+# committed request rate across all shards per second of wall-clock time
+# (the rows use UseRealTime), so the curve is that rate's ratio over the
+# S=1 row.  On a 1-core host the curve flattens.  Returns 1 when the
 # host has >=4 CPUs, an S=4 row exists, and its aggregate throughput is
 # below the 1.5x acceptance floor.
 shard_scaling() {
@@ -123,7 +126,7 @@ batch = {}  # shards -> payloads per BATCH frame
 for b in data.get("benchmarks", []):
     if b.get("run_type") == "aggregate":
         continue
-    parts = b["name"].split("/")
+    parts = [p for p in b["name"].split("/") if p != "real_time"]
     if parts[0] != "BM_E17ShardedAtomic" or len(parts) != 2:
         continue
     curve[int(parts[1])] = float(b.get("items_per_second", 0.0))
@@ -160,7 +163,7 @@ def load(path):
         # Skip aggregate rows; compare per-benchmark base measurements.
         if b.get("run_type") == "aggregate":
             continue
-        out[b["name"]] = float(b["real_time"])
+        out[b["name"].removesuffix("/real_time")] = float(b["real_time"])
     return out
 
 old, new = load(sys.argv[1]), load(sys.argv[2])

@@ -109,9 +109,10 @@ int run_party(int id, const std::string& dir, const std::vector<std::uint16_t>& 
   nconfig.node_id = id;
   nconfig.n = kN;
   net::transport::NetworkedNode node(nconfig);
+  auto& endpoint = node.add_group(0);
 
   protocols::HostedParty<DemoState> host(
-      node, id, deployment, kSeed * 7919 + static_cast<std::uint64_t>(id),
+      endpoint, id, deployment, kSeed * 7919 + static_cast<std::uint64_t>(id),
       [](net::Party& party) {
         party.enable_wal();
         auto state = std::make_unique<DemoState>();
@@ -121,7 +122,7 @@ int run_party(int id, const std::string& dir, const std::vector<std::uint16_t>& 
             });
         return state;
       });
-  node.attach(host);
+  endpoint.attach(host);
 
   net::transport::TcpTransport::Config tconfig;
   tconfig.node_id = id;
@@ -144,14 +145,14 @@ int run_party(int id, const std::string& dir, const std::vector<std::uint16_t>& 
   // the time a frame's ack lets the sender prune it, it is on disk here.
   tconfig.link.ack_every = 1u << 20;
   tconfig.ack_flush_ms = 50;
-  net::transport::TcpTransport transport(tconfig, [&node](int from, BytesView payload) {
-    node.on_transport_receive(from, payload);
-  });
-  node.bind_transport(
-      [&transport](int peer, Bytes payload) { transport.send(peer, std::move(payload)); });
-  node.bind_transport_batched([&transport](int peer, std::vector<net::transport::GroupPayload> payloads) {
-    transport.send_many(peer, std::move(payloads));
-  });
+  net::transport::TcpTransport transport(
+      tconfig, [&node](int from, std::uint32_t group, BytesView payload) {
+        node.on_transport_receive(from, group, payload);
+      });
+  node.bind_transport_batched(
+      [&transport](int peer, std::vector<net::transport::GroupPayload> payloads) {
+        transport.send_many(peer, std::move(payloads));
+      });
   transport.start();
 
   const std::string wal_path = dir + "/wal." + std::to_string(id);

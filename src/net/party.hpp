@@ -170,8 +170,8 @@ class Party : public Process {
   /// pump thread in arrival order and restore() always replays inline and
   /// single-threaded, so replay is bit-exact regardless of executor count.
   /// A null pool — or a zero-executor pool — is the old inline behavior.
-  /// Concurrent mode requires the network to be a NetworkedNode (the
-  /// Simulator is single-threaded by contract) and protocol stacks to be
+  /// Concurrent mode requires the network to be a NetworkedNode's
+  /// GroupEndpoint (the Simulator is single-threaded by contract) and protocol stacks to be
   /// constructed inside with_instance() so construction-time timers know
   /// their tree.
   void set_executors(common::ExecutorPool* pool) { executors_ = pool; }

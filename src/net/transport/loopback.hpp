@@ -86,9 +86,6 @@ class LoopbackHub {
   /// (receivers that keep the payload copy it, which for a NetworkedNode
   /// is the one copy into the owning Message).
   using ReceiveFn = std::function<void(int from, std::uint32_t group, BytesView payload)>;
-  /// Pre-v4 receiver shape, still accepted for single-tenant callers; the
-  /// group stamp is dropped on this path.
-  using LegacyReceiveFn = std::function<void(int from, BytesView payload)>;
 
   // (No default argument for `profile`: a nested class's member
   // initializers are not usable in default arguments of the enclosing
@@ -97,7 +94,6 @@ class LoopbackHub {
   LoopbackHub(int n, std::uint64_t seed, FaultProfile profile, LinkConfig link = {});
 
   void set_receiver(int node, ReceiveFn receive);
-  void set_receiver(int node, LegacyReceiveFn receive);
 
   /// Drive a seeded partition / gray-failure schedule (net/fault.hpp):
   /// each step() advances the schedule one tick, severing and healing
@@ -117,7 +113,6 @@ class LoopbackHub {
   /// Payloads for different groups coalesce into the same super-frame —
   /// sharding does not multiply the per-link HMAC or frame count.
   void send_many(int from, int to, std::vector<GroupPayload> payloads);
-  void send_many(int from, int to, std::vector<Bytes> payloads);
 
   /// Deliver one frame picked at random (or progress a pending
   /// reconnect).  Returns false when nothing can make progress.

@@ -19,7 +19,6 @@ NetworkedNode::NetworkedNode(Config config)
                  "networked_node: node_id out of range");
   SINTRA_REQUIRE(config_.max_inbox >= 1, "networked_node: inbox must hold something");
   outbox_.resize(static_cast<std::size_t>(config_.n));
-  add_group(0, config_.epoch);
 }
 
 NetworkedNode::GroupEndpoint& NetworkedNode::add_group(std::uint32_t gid, std::uint32_t epoch) {
@@ -250,28 +249,16 @@ void NetworkedNode::flush_outbound() {
     }
     // Only a node that actually has remote traffic needs a transport;
     // standalone nodes (self-sends, timers) never reach this point.
-    SINTRA_REQUIRE(static_cast<bool>(send_) || static_cast<bool>(send_many_),
-                   "networked_node: no transport bound");
+    SINTRA_REQUIRE(static_cast<bool>(send_many_), "networked_node: no transport bound");
     {
       std::lock_guard<std::mutex> lock(mutex_);
       ++stats_.outbound_flushes;
       stats_.outbound_payloads += pending.size();
     }
-    if (send_many_) {
-      std::vector<GroupPayload> batch;
-      batch.reserve(pending.size());
-      for (GroupPayload& payload : pending) batch.push_back(std::move(payload));
-      send_many_(peer, std::move(batch));
-    } else {
-      // The per-payload SendFn has no group parameter, so it can only
-      // carry single-tenant (group 0) traffic; multi-group hosts must
-      // bind the batched entry.
-      for (GroupPayload& payload : pending) {
-        SINTRA_REQUIRE(payload.group == 0,
-                       "networked_node: multi-group traffic needs bind_transport_batched");
-        send_(peer, std::move(payload.payload));
-      }
-    }
+    std::vector<GroupPayload> batch;
+    batch.reserve(pending.size());
+    for (GroupPayload& payload : pending) batch.push_back(std::move(payload));
+    send_many_(peer, std::move(batch));
   }
 }
 
@@ -334,13 +321,14 @@ bool NetworkedNode::run_until(const std::function<bool()>& done, std::uint64_t t
   }
 }
 
-Network::TimerId NetworkedNode::schedule_timer(int owner, std::uint64_t delay_ms, TimerFn fn) {
+Network::TimerId NetworkedNode::schedule_timer(int owner, std::uint64_t delay_ms,
+                                               Network::TimerFn fn) {
   (void)owner;  // single-process substrate: everything runs as this node
   std::lock_guard<std::recursive_mutex> lock(timer_mutex_);
   return wheel_.schedule_at(std::max(now() + delay_ms, wheel_.now() + 1), std::move(fn));
 }
 
-void NetworkedNode::cancel_timer(TimerId id) {
+void NetworkedNode::cancel_timer(Network::TimerId id) {
   std::lock_guard<std::recursive_mutex> lock(timer_mutex_);
   wheel_.cancel(id);
 }

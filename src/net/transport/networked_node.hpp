@@ -7,12 +7,12 @@
 // write-ahead persist hook, its own ResourceBudget and its own membership
 // epoch, while all of them share this node's transport link, event loop,
 // timer wheel, inbox pump and (machine-wide) executor/work pools.  A
-// tenant sees the substrate through a GroupEndpoint — a Network facade
+// tenant sees the substrate through a GroupEndpoint — the Network facade
 // that stamps every outbound payload with the tenant's group id (the wire
 // v4 record stamp, framing.hpp) and delegates time/timers to the host.
-// Group 0 is created in the constructor, and every pre-sharding API on
-// the node itself (attach, set_persist, epoch, …) delegates to it, so
-// single-tenant callers are untouched.
+// The node itself is not a Network: a freshly built node hosts no group,
+// and every tenant — a single-tenant deployment's group 0 included — is
+// created by add_group(gid, epoch) and wired through its endpoint.
 //
 // The adapter owns the boundary between the transport's reactor thread
 // and the protocol thread.  The transport delivers authenticated payloads
@@ -41,8 +41,9 @@
 // net/network.hpp for why timers live on the substrate).
 //
 // Threading contract: poll() and run_until() belong to the pump
-// (protocol) thread.  submit(), schedule_timer(), cancel_timer() may be
-// called from the pump thread or from executor threads;
+// (protocol) thread.  An endpoint's submit(), schedule_timer() and
+// cancel_timer() may be called from the pump thread or from executor
+// threads;
 // on_transport_receive() from any thread.  add_group() belongs to the
 // wiring phase (before traffic flows).  stats() is thread-safe.
 #pragma once
@@ -67,25 +68,20 @@
 
 namespace sintra::net::transport {
 
-class NetworkedNode final : public Network {
+class NetworkedNode final {
  public:
   struct Config {
     int node_id = 0;
     int n = 0;                      ///< network endpoints (servers + clients)
     std::size_t max_inbox = 8192;   ///< bounded inbox; beyond: drop-oldest
-    std::uint32_t epoch = 0;        ///< initial membership epoch (group 0)
     /// Messages stamped one epoch ahead buffered until advance_epoch();
     /// beyond this many *per tenant*: drop-oldest (on top of any
     /// ResourceBudget cap).
     std::size_t max_future = 1024;
   };
 
-  /// Hands an encoded payload to the transport for reliable delivery.
-  /// Single-tenant only: flushing multi-group traffic requires the
-  /// batched form below (this one has nowhere to put the group stamp).
-  using SendFn = std::function<void(int peer, Bytes payload)>;
-  /// Batched form: every payload buffered for `peer` during one pump
-  /// cycle, in order, each stamped with its tenant's group id — the
+  /// Hands the transport every payload buffered for `peer` during one
+  /// pump cycle, in order, each stamped with its tenant's group id — the
   /// transport turns the whole vector into one coalesced super-frame.
   using SendManyFn = std::function<void(int peer, std::vector<GroupPayload> payloads)>;
   /// Write-ahead hook, called for every inbound message before dispatch.
@@ -101,13 +97,13 @@ class NetworkedNode final : public Network {
   class GroupEndpoint final : public Network {
    public:
     void submit(Message message) override { host_->submit_group(gid_, std::move(message)); }
-    [[nodiscard]] int n() const override { return host_->n(); }
+    [[nodiscard]] int n() const override { return host_->config_.n; }
     [[nodiscard]] std::uint64_t now() const override { return host_->now(); }
     TimerId schedule_timer(int owner, std::uint64_t delay_ms, TimerFn fn) override {
       return host_->schedule_timer(owner, delay_ms, std::move(fn));
     }
     void cancel_timer(TimerId id) override { host_->cancel_timer(id); }
-    [[nodiscard]] TraceLog* log() override { return host_->log(); }
+    [[nodiscard]] TraceLog* log() override { return nullptr; }
 
     /// The process receiving this group's deliveries (caller owns it).
     void attach(Process& process) { host_->tenant_attach(gid_, process); }
@@ -115,7 +111,13 @@ class NetworkedNode final : public Network {
     /// Meter this group's future-epoch buffer through its own
     /// ResourceBudget (not owned) — tenant isolation under flooding.
     void set_budget(ResourceBudget* budget) { host_->tenant_set_budget(gid_, budget); }
+    /// Current membership epoch; payloads stamped below it are rejected,
+    /// payloads one ahead are buffered (bounded), anything further is
+    /// dropped.
     [[nodiscard]] std::uint32_t epoch() const { return host_->tenant_epoch(gid_); }
+    /// Move to `epoch` (monotonic; any thread).  Buffered future-epoch
+    /// messages that now match are replayed into the inbox in arrival
+    /// order; anything older is discarded.
     void advance_epoch(std::uint32_t epoch) { host_->tenant_advance_epoch(gid_, epoch); }
     [[nodiscard]] std::uint32_t group_id() const { return gid_; }
 
@@ -130,30 +132,12 @@ class NetworkedNode final : public Network {
   /// epoch `epoch` (ignored when the group already exists).  Wiring
   /// phase: call before traffic flows for the group.
   GroupEndpoint& add_group(std::uint32_t gid, std::uint32_t epoch = 0);
-  /// The endpoint of an existing group (group 0 always exists).
+  /// The endpoint of a group created by add_group().
   [[nodiscard]] GroupEndpoint& group(std::uint32_t gid);
 
-  // --- Network (pump or executor threads); delegates to group 0 --------
-  void submit(Message message) override { submit_group(0, std::move(message)); }
-  [[nodiscard]] int n() const override { return config_.n; }
-  /// Monotonic milliseconds since construction.
-  [[nodiscard]] std::uint64_t now() const override;
-  TimerId schedule_timer(int owner, std::uint64_t delay_ms, TimerFn fn) override;
-  void cancel_timer(TimerId id) override;
-  [[nodiscard]] TraceLog* log() override { return log_; }
-  void set_log(TraceLog* log) { log_ = log; }
-
-  // --- wiring (single-tenant legacy surface; delegates to group 0) -----
-  /// The process receiving deliveries (caller owns it and calls on_start).
-  void attach(Process& process) { tenant_attach(0, process); }
-  void bind_transport(SendFn send) { send_ = std::move(send); }
-  /// Meter the future-epoch buffer through the party's ResourceBudget
-  /// (not owned).  Without one, only the max_future count bound applies.
-  void set_budget(ResourceBudget* budget) { tenant_set_budget(0, budget); }
-  /// Batched transport entry; preferred over the per-payload SendFn when
-  /// bound (the per-payload form remains the single-tenant fallback).
+  // --- wiring -----------------------------------------------------------
+  /// The transport entry for outbound traffic (pump thread only).
   void bind_transport_batched(SendManyFn send_many) { send_many_ = std::move(send_many); }
-  void set_persist(PersistFn persist) { tenant_set_persist(0, std::move(persist)); }
 
   /// Attach the crypto work pool (not owned; may be shared machine-wide
   /// by several hosts — notify hooks are multicast).  poll() drains
@@ -179,19 +163,6 @@ class NetworkedNode final : public Network {
   /// payloads stamped with a group this host does not run, are counted
   /// and dropped — Byzantine input must not crash the node.
   void on_transport_receive(int from, std::uint32_t group, BytesView payload);
-  /// Pre-v4 entry: group 0.
-  void on_transport_receive(int from, BytesView payload) {
-    on_transport_receive(from, 0, payload);
-  }
-
-  // --- membership epochs (group 0; per-group via GroupEndpoint) ---------
-  /// Current epoch; payloads stamped below it are rejected, payloads one
-  /// ahead are buffered (bounded), anything further is dropped.
-  [[nodiscard]] std::uint32_t epoch() const { return tenant_epoch(0); }
-  /// Move to `epoch` (monotonic; any thread).  Buffered future-epoch
-  /// messages that now match are replayed into the inbox in arrival
-  /// order; anything older is discarded.
-  void advance_epoch(std::uint32_t epoch) { tenant_advance_epoch(0, epoch); }
 
   // --- protocol-thread pump --------------------------------------------
   /// Fire due timers, dispatch every queued message to its tenant, then
@@ -257,7 +228,11 @@ class NetworkedNode final : public Network {
     Message message;
   };
 
-  // GroupEndpoint back-ends.
+  // GroupEndpoint back-ends.  Time and timers are host-wide: one
+  // monotonic clock (milliseconds since construction) and one wheel.
+  [[nodiscard]] std::uint64_t now() const;
+  Network::TimerId schedule_timer(int owner, std::uint64_t delay_ms, Network::TimerFn fn);
+  void cancel_timer(Network::TimerId id);
   void submit_group(std::uint32_t gid, Message message);
   void tenant_attach(std::uint32_t gid, Process& process);
   void tenant_set_persist(std::uint32_t gid, PersistFn persist);
@@ -271,11 +246,9 @@ class NetworkedNode final : public Network {
   void flush_outbound();
 
   Config config_;
-  SendFn send_;
   SendManyFn send_many_;
   common::WorkPool* work_pool_ = nullptr;
   common::ExecutorPool* executors_ = nullptr;
-  TraceLog* log_ = nullptr;
   std::chrono::steady_clock::time_point start_;
 
   /// Guards wheel_: timers are scheduled from executor threads while the
@@ -291,8 +264,8 @@ class NetworkedNode final : public Network {
   std::vector<std::deque<GroupPayload>> outbox_;  ///< per peer, flushed by the pump
   Stats stats_;
 
-  /// Hosted groups; group 0 created in the constructor.  Guarded by
-  /// mutex_ for lookup; entries are never erased, so Tenant* stays valid.
+  /// Hosted groups, created by add_group().  Guarded by mutex_ for
+  /// lookup; entries are never erased, so Tenant* stays valid.
   std::map<std::uint32_t, std::unique_ptr<Tenant>> tenants_;
 };
 

@@ -101,12 +101,8 @@ class TcpTransport {
   /// valid only during the call — receivers that keep the payload copy it
   /// (for NetworkedNode, the one copy into the owning Message).
   using ReceiveFn = std::function<void(int from, std::uint32_t group, BytesView payload)>;
-  /// Pre-v4 receiver shape, still accepted for single-tenant callers; the
-  /// group stamp is dropped on this path.
-  using LegacyReceiveFn = std::function<void(int from, BytesView payload)>;
 
   TcpTransport(Config config, ReceiveFn receive);
-  TcpTransport(Config config, LegacyReceiveFn receive);
   ~TcpTransport();
   TcpTransport(const TcpTransport&) = delete;
   TcpTransport& operator=(const TcpTransport&) = delete;
@@ -128,7 +124,6 @@ class TcpTransport {
   /// per kMaxBatchBytes of traffic.  Payloads for different groups
   /// coalesce into the same super-frame.
   void send_many(int peer, std::vector<GroupPayload> payloads);
-  void send_many(int peer, std::vector<Bytes> payloads);
 
   /// Advance the membership epoch (any thread).  Subsequent frames carry
   /// the new epoch; established connections stay up — the one-epoch

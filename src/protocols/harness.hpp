@@ -1,18 +1,28 @@
-// Simulation harness: wires a Deployment, a Scheduler, n hosted protocol
-// stacks and optional corrupted parties / client endpoints into one
-// runnable cluster.  Header-only convenience used by the tests, the
-// benchmarks and the examples — not by the protocols themselves.
+// Cluster harnesses: wire Deployments, n hosted protocol stacks and their
+// substrate into one runnable cluster.  Cluster and ChaosCluster run on
+// the deterministic Simulator (with a Scheduler, optional corrupted
+// parties / client endpoints, crash-restarts and message faults);
+// NodeCluster runs the same stacks on NetworkedNodes over a LoopbackHub.
+// Header-only convenience used by the tests, the benchmarks and the
+// examples — not by the protocols themselves.
 #pragma once
 
+#include <chrono>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
+#include <thread>
 
+#include "common/assert.hpp"
+#include "common/executor.hpp"
+#include "common/work_pool.hpp"
 #include "net/corruption.hpp"
 #include "net/fault.hpp"
 #include "net/party.hpp"
 #include "net/scheduler.hpp"
+#include "net/transport/loopback.hpp"
+#include "net/transport/networked_node.hpp"
 
 namespace sintra::protocols {
 
@@ -281,6 +291,187 @@ class ChaosCluster {
   std::optional<net::BudgetConfig> budget_;
   std::vector<HostedParty<P>*> hosts_;
   std::vector<net::RestartingProcess*> restarting_;
+};
+
+/// The networked deployment: one NetworkedNode per machine, all wired
+/// through one LoopbackHub (the paper's asynchronous authenticated links,
+/// with real framing, MACs and retransmission), each node hosting one
+/// HostedParty<P> per group.  Every node owns one ExecutorPool and one
+/// WorkPool (zero threads: inline), shared by all of its tenants; each
+/// tenant's lanes are salted with its group id.  Partition schedules and
+/// manual link surgery go through hub().
+///
+/// One pump policy drives every run: poll each live node and step the
+/// hub; when nothing moves, wait for the pools to go idle, poll again
+/// and tick the hub (retransmits, acks), then yield the core before the
+/// next pass (only wall-clock timers can still be pending).  The pump
+/// never sleeps, so timed bench regions measure protocol work.  Every run
+/// is bounded by the same wall-clock budget.
+template <typename P>
+class NodeCluster {
+ public:
+  /// Build party `id`'s protocol object for `group`.  The party already
+  /// holds its node's pools and its lane group; enabling the WAL and
+  /// starting the protocol are the factory's choice.
+  using Factory =
+      std::function<std::unique_ptr<P>(net::Party& party, int id, std::uint32_t group)>;
+
+  struct Config {
+    std::vector<adversary::Deployment> groups;  ///< one tenant per entry; group id = index
+    std::uint64_t seed = 1;                     ///< hub schedule and party seeds
+    std::size_t executors = 0;                  ///< ExecutorPool threads per node
+    std::size_t workers = 0;                    ///< WorkPool threads per node
+    net::transport::LoopbackHub::FaultProfile faults{};
+  };
+
+  NodeCluster(Config config, Factory factory)
+      : config_(std::move(config)),
+        factory_(std::move(factory)),
+        hub_(config_.groups.at(0).n(), config_.seed, config_.faults),
+        machines_(static_cast<std::size_t>(n())) {
+    for (const adversary::Deployment& group : config_.groups) {
+      SINTRA_REQUIRE(group.n() == n(), "node_cluster: every group needs the same n");
+    }
+    for (int id = 0; id < n(); ++id) rebuild(id);
+  }
+  ~NodeCluster() {
+    for (Machine& machine : machines_) teardown(machine);
+  }
+  NodeCluster(const NodeCluster&) = delete;
+  NodeCluster& operator=(const NodeCluster&) = delete;
+
+  [[nodiscard]] int n() const { return config_.groups.front().n(); }
+  [[nodiscard]] net::transport::LoopbackHub& hub() { return hub_; }
+  [[nodiscard]] net::transport::NetworkedNode& node(int id) { return *machine(id).node; }
+  [[nodiscard]] HostedParty<P>& host(int id, std::uint32_t group = 0) {
+    return *machine(id).hosts.at(group);
+  }
+  [[nodiscard]] P& state(int id, std::uint32_t group = 0) { return host(id, group).protocol(); }
+
+  /// SIGKILL plus disk wipe: machine `id` and all its tenants are
+  /// destroyed outright (no snapshot; the in-memory WAL dies with them),
+  /// and frames addressed to it land in the void until rebuild(id).
+  void kill(int id) {
+    hub_.set_receiver(id, nullptr);
+    teardown(machine(id));
+  }
+
+  /// Build machine `id` blank: fresh pools, node and one tenant per group
+  /// from the factory.  Only the dealt keys in the Deployments survive a
+  /// kill().
+  void rebuild(int id) {
+    Machine& m = machine(id);
+    SINTRA_REQUIRE(m.node == nullptr, "node_cluster: rebuild of a live node");
+    net::transport::NetworkedNode::Config node_config;
+    node_config.node_id = id;
+    node_config.n = n();
+    m.executors = std::make_unique<common::ExecutorPool>(config_.executors);
+    m.workers = std::make_unique<common::WorkPool>(config_.workers);
+    m.node = std::make_unique<net::transport::NetworkedNode>(node_config);
+    m.node->set_executors(m.executors.get());
+    m.node->set_work_pool(m.workers.get());
+    const auto groups = static_cast<std::uint32_t>(config_.groups.size());
+    for (std::uint32_t group = 0; group < groups; ++group) {
+      auto& endpoint = m.node->add_group(group);
+      m.hosts.push_back(std::make_unique<HostedParty<P>>(
+          endpoint, id, config_.groups[group],
+          config_.seed * 7919 + static_cast<std::uint64_t>(id) * groups + group,
+          [&](net::Party& party) {
+            party.set_executors(m.executors.get());
+            party.set_work_pool(m.workers.get());
+            party.set_lane_group(group);
+            return factory_(party, id, group);
+          }));
+      endpoint.attach(*m.hosts.back());
+    }
+    m.node->bind_transport_batched(
+        [this, id](int peer, std::vector<net::transport::GroupPayload> payloads) {
+          hub_.send_many(id, peer, std::move(payloads));
+        });
+    hub_.set_receiver(id, [node = m.node.get()](int from, std::uint32_t group, BytesView payload) {
+      node->on_transport_receive(from, group, payload);
+    });
+  }
+
+  /// Block until every live node's pools hold no work.  Afterwards, and
+  /// until the next pump pass, protocol state is safe to read from the
+  /// pump thread.
+  void wait_idle() {
+    for (Machine& m : machines_) {
+      if (m.node == nullptr) continue;
+      m.executors->wait_idle();
+      m.workers->wait_idle();
+    }
+  }
+
+  /// Drain and join every pool; afterwards protocol state is safe to read
+  /// for good.
+  void stop() {
+    for (Machine& m : machines_) {
+      if (m.node != nullptr) stop_pools(m);
+    }
+  }
+
+  /// Pump until `done()` holds (see the class comment for the policy).
+  /// With executors, done() runs on the pump thread while handlers run on
+  /// executor threads, so it must read atomics or call wait_idle() first.
+  /// Returns done()'s final value.
+  bool run_until(const std::function<bool()>& done) {
+    const auto deadline = std::chrono::steady_clock::now() + kRunBudget;
+    while (!done()) {
+      if (std::chrono::steady_clock::now() >= deadline) return done();
+      bool progressed = poll_all();
+      progressed = hub_.step() || progressed;
+      if (progressed) continue;
+      wait_idle();
+      poll_all();
+      hub_.tick();
+      std::this_thread::yield();
+    }
+    return true;
+  }
+
+ private:
+  /// Wall-clock bound on one run_until().
+  static constexpr auto kRunBudget = std::chrono::seconds(120);
+
+  struct Machine {
+    std::unique_ptr<common::ExecutorPool> executors;
+    std::unique_ptr<common::WorkPool> workers;
+    std::unique_ptr<net::transport::NetworkedNode> node;
+    std::vector<std::unique_ptr<HostedParty<P>>> hosts;  ///< [group]
+  };
+
+  Machine& machine(int id) { return machines_.at(static_cast<std::size_t>(id)); }
+
+  static void stop_pools(Machine& m) {
+    m.executors->stop();  // drains tasks that touch the parties
+    m.workers->stop();    // completions re-enter the parties
+  }
+
+  /// Pools stop before the parties they run for; parties die before the
+  /// node their endpoints point into.
+  static void teardown(Machine& m) {
+    if (m.node == nullptr) return;
+    stop_pools(m);
+    m.hosts.clear();
+    m.node.reset();
+    m.workers.reset();
+    m.executors.reset();
+  }
+
+  bool poll_all() {
+    bool progressed = false;
+    for (Machine& m : machines_) {
+      if (m.node != nullptr) progressed = (m.node->poll() > 0) || progressed;
+    }
+    return progressed;
+  }
+
+  Config config_;
+  Factory factory_;
+  net::transport::LoopbackHub hub_;
+  std::vector<Machine> machines_;
 };
 
 }  // namespace sintra::protocols

@@ -42,6 +42,7 @@ using net::transport::LoopbackHub;
 using net::transport::NetworkedNode;
 using protocols::AtomicBroadcast;
 using protocols::HostedParty;
+using protocols::NodeCluster;
 
 // ---- unit: pool mechanics ---------------------------------------------------
 
@@ -157,83 +158,36 @@ std::unique_ptr<MultiState> make_multi_state(net::Party& party) {
   return state;
 }
 
-struct ExecCluster {
-  LoopbackHub hub;
-  std::vector<std::unique_ptr<NetworkedNode>> nodes;
-  std::vector<std::unique_ptr<HostedParty<MultiState>>> hosts;
-  std::vector<std::unique_ptr<ExecutorPool>> execs;
+/// Four nodes each hosting every group's atomic broadcast, with
+/// `executors` protocol executors per node.
+std::unique_ptr<NodeCluster<MultiState>> multi_cluster(const adversary::Deployment& deployment,
+                                                       std::size_t executors) {
+  return std::make_unique<NodeCluster<MultiState>>(
+      NodeCluster<MultiState>::Config{
+          .groups = {deployment}, .seed = kSeed, .executors = executors},
+      [](net::Party& party, int, std::uint32_t) {
+        party.enable_wal();
+        return make_multi_state(party);
+      });
+}
 
-  ExecCluster(const adversary::Deployment& deployment, std::size_t executors) : hub(kN, kSeed) {
+bool run_until_total(NodeCluster<MultiState>& cluster, std::size_t total) {
+  return cluster.run_until([&] {
     for (int id = 0; id < kN; ++id) {
-      NetworkedNode::Config config;
-      config.node_id = id;
-      config.n = kN;
-      auto node = std::make_unique<NetworkedNode>(config);
-      auto pool = std::make_unique<ExecutorPool>(executors);
-      auto host = std::make_unique<HostedParty<MultiState>>(
-          *node, id, deployment, kSeed * 7919 + static_cast<std::uint64_t>(id),
-          [&pool](net::Party& party) {
-            party.enable_wal();
-            party.set_executors(pool.get());
-            return make_multi_state(party);
-          });
-      node->set_executors(pool.get());
-      node->attach(*host);
-      node->bind_transport_batched([this, id](int peer, std::vector<net::transport::GroupPayload> payloads) {
-        hub.send_many(id, peer, std::move(payloads));
-      });
-      hub.set_receiver(id, [raw = node.get()](int from, BytesView payload) {
-        raw->on_transport_receive(from, payload);
-      });
-      nodes.push_back(std::move(node));
-      hosts.push_back(std::move(host));
-      execs.push_back(std::move(pool));
+      if (cluster.state(id).total.load(std::memory_order_acquire) < total) return false;
     }
-  }
-
-  ~ExecCluster() { stop(); }
-
-  /// Join the executor threads; after this, reading delivered[] from the
-  /// test thread is synchronized (stop() joins, join happens-before).
-  void stop() {
-    for (auto& pool : execs) pool->stop();
-  }
-
-  MultiState& state(int id) { return hosts[static_cast<std::size_t>(id)]->protocol(); }
-
-  bool run_until_total(std::size_t total, std::size_t max_iters = 5'000'000) {
-    auto done = [&] {
-      for (auto& host : hosts) {
-        if (host->protocol().total.load(std::memory_order_acquire) < total) return false;
-      }
-      return true;
-    };
-    for (std::size_t iter = 0; iter < max_iters; ++iter) {
-      if (done()) return true;
-      bool progressed = false;
-      for (auto& node : nodes) progressed = (node->poll() > 0) || progressed;
-      progressed = hub.step() || progressed;
-      if (!progressed) {
-        // Quiescent wire: let the executors finish what they hold, flush
-        // whatever they buffered, then run a retransmit/ack pass.
-        for (auto& pool : execs) pool->wait_idle();
-        for (auto& node : nodes) node->poll();
-        hub.tick();
-        std::this_thread::yield();
-      }
-    }
-    return done();
-  }
-};
+    return true;
+  });
+}
 
 Bytes payload_for(int g, int i) {
   return bytes_of("g" + std::to_string(g) + "/p" + std::to_string(i));
 }
 
-void submit_all(ExecCluster& cluster) {
+void submit_all(NodeCluster<MultiState>& cluster) {
   for (int g = 0; g < kGroups; ++g) {
     for (int i = 0; i < kPerGroup; ++i) {
-      auto& host = *cluster.hosts[static_cast<std::size_t>((g + i) % kN)];
+      auto& host = cluster.host((g + i) % kN);
       // External submits are out-of-band touches of the group's tree:
       // scope them so concurrent mode attributes the self-send correctly.
       host.party().with_instance(group_tag(g), [&host, g, i] {
@@ -258,9 +212,9 @@ TEST(ExecutorClusterTest, ConcurrentRunAgreesMatchesSequentialAndReplays) {
   constexpr auto kTotal = static_cast<std::size_t>(kGroups) * kPerGroup;
 
   auto run = [&deployment](std::size_t executors) {
-    auto cluster = std::make_unique<ExecCluster>(deployment, executors);
+    auto cluster = multi_cluster(deployment, executors);
     submit_all(*cluster);
-    EXPECT_TRUE(cluster->run_until_total(kTotal)) << "executors=" << executors;
+    EXPECT_TRUE(run_until_total(*cluster, kTotal)) << "executors=" << executors;
     cluster->stop();
     return cluster;
   };
@@ -287,12 +241,12 @@ TEST(ExecutorClusterTest, ConcurrentRunAgreesMatchesSequentialAndReplays) {
   // into a fresh party with no executors.  The WAL was appended on the
   // pump thread in arrival order and replay runs inline, so the rebuilt
   // node must reproduce the concurrent node's per-group sequences exactly.
-  const Bytes snapshot = concurrent->hosts[0]->snapshot();
+  const Bytes snapshot = concurrent->host(0).snapshot();
   NetworkedNode::Config config;
   config.node_id = 0;
   config.n = kN;
   NetworkedNode replay_node(config);
-  HostedParty<MultiState> replay_host(replay_node, 0, deployment, kSeed * 7919,
+  HostedParty<MultiState> replay_host(replay_node.add_group(0), 0, deployment, kSeed * 7919,
                                       [](net::Party& party) {
                                         party.enable_wal();
                                         return make_multi_state(party);
@@ -308,7 +262,7 @@ TEST(ExecutorClusterTest, ConcurrentRunAgreesMatchesSequentialAndReplays) {
 
   // Wire-level coalescing on the same traffic: payloads rode BATCH
   // super-frames (one HMAC each), never one frame per payload.
-  const LoopbackHub::Stats wire = concurrent->hub.stats();
+  const LoopbackHub::Stats wire = concurrent->hub().stats();
   EXPECT_GT(wire.batches_sent, 0u);
   EXPECT_GE(wire.coalesced_payloads, wire.batches_sent);
   EXPECT_EQ(wire.auth_failures, 0u);

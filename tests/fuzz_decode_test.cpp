@@ -642,7 +642,7 @@ TEST(FuzzTest, UnknownGroupAndEpochCombosNeverReachAForeignTenant) {
 
   Rng rng(37);
   for (int round = 0; round < 500; ++round) {
-    const auto group = static_cast<std::uint32_t>(rng.below(5));  // 0..4; 3,4 unknown
+    const auto group = static_cast<std::uint32_t>(rng.below(5));  // 0..4; 0,3,4 unknown
     const auto epoch = static_cast<std::uint32_t>(rng.below(4));  // 0..3
     if (rng.below(4) == 0) {
       // Raw garbage under a valid group stamp: malformed, counted, dropped.

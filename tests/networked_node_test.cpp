@@ -18,7 +18,6 @@ namespace sintra::net::transport {
 namespace {
 
 using protocols::AtomicBroadcast;
-using protocols::HostedParty;
 
 struct AbcState {
   std::unique_ptr<AtomicBroadcast> abc;
@@ -28,102 +27,55 @@ struct AbcState {
 /// n protocol stacks, each on its own NetworkedNode, wired through one
 /// LoopbackHub — the single-threaded deterministic version of the real
 /// TCP deployment.
-struct NetCluster {
-  LoopbackHub hub;
-  std::vector<std::unique_ptr<NetworkedNode>> nodes;
-  std::vector<std::unique_ptr<HostedParty<AbcState>>> hosts;
+using AbcCluster = protocols::NodeCluster<AbcState>;
 
-  NetCluster(int n, std::uint64_t seed, LoopbackHub::FaultProfile profile)
-      : hub(n, seed, profile, LinkConfig{}) {
-    Rng rng(seed);
-    auto deployment = adversary::Deployment::threshold(n, (n - 1) / 3, rng);
-    for (int id = 0; id < n; ++id) {
-      NetworkedNode::Config config;
-      config.node_id = id;
-      config.n = n;
-      auto node = std::make_unique<NetworkedNode>(config);
-      auto host = std::make_unique<HostedParty<AbcState>>(
-          *node, id, deployment, seed * 7919 + static_cast<std::uint64_t>(id),
-          [](net::Party& party) {
-            auto state = std::make_unique<AbcState>();
-            state->abc = std::make_unique<AtomicBroadcast>(
-                party, "abc", [s = state.get()](int origin, Bytes payload) {
-                  s->delivered.emplace_back(origin, std::move(payload));
-                });
-            return state;
-          });
-      node->attach(*host);
-      node->bind_transport(
-          [this, id](int peer, Bytes payload) { hub.send(id, peer, std::move(payload)); });
-      hub.set_receiver(id, [raw = node.get()](int from, BytesView payload) {
-        raw->on_transport_receive(from, payload);
+std::unique_ptr<AbcCluster> abc_cluster(int n, std::uint64_t seed,
+                                        LoopbackHub::FaultProfile faults) {
+  Rng rng(seed);
+  auto deployment = adversary::Deployment::threshold(n, (n - 1) / 3, rng);
+  return std::make_unique<AbcCluster>(
+      AbcCluster::Config{.groups = {deployment}, .seed = seed, .faults = faults},
+      [](net::Party& party, int, std::uint32_t) {
+        auto state = std::make_unique<AbcState>();
+        state->abc = std::make_unique<AtomicBroadcast>(
+            party, "abc", [s = state.get()](int origin, Bytes payload) {
+              s->delivered.emplace_back(origin, std::move(payload));
+            });
+        return state;
       });
-      nodes.push_back(std::move(node));
-      hosts.push_back(std::move(host));
-    }
-  }
+}
 
-  AbcState& state(int id) { return hosts[static_cast<std::size_t>(id)]->protocol(); }
-
-  /// Single-threaded pump: drain every node's inbox, move one wire frame,
-  /// repeat.  When everything stalls, tick() the hub (retransmit + acks)
-  /// — under faults that is what restarts progress.
-  bool run_until(const std::function<bool()>& done, std::size_t max_iters = 2'000'000) {
-    bool ticked = false;
-    for (std::size_t iter = 0; iter < max_iters; ++iter) {
-      if (done()) return true;
-      bool progressed = false;
-      for (auto& node : nodes) progressed = (node->poll() > 0) || progressed;
-      progressed = hub.step() || progressed;
-      if (progressed) {
-        ticked = false;
-        continue;
-      }
-      if (ticked) return done();  // two stalls in a row: truly quiescent
-      hub.tick();
-      ticked = true;
-    }
-    return done();
-  }
-
-  void expect_identical_order() {
-    const auto& reference = state(0).delivered;
-    for (std::size_t id = 1; id < hosts.size(); ++id) {
-      EXPECT_EQ(state(static_cast<int>(id)).delivered, reference) << "total order violated";
-    }
-  }
-};
-
-TEST(NetworkedNodeTest, AtomicBroadcastOverLoopback) {
-  NetCluster cluster(4, /*seed=*/11, LoopbackHub::FaultProfile{});
-  for (int id = 0; id < 4; ++id) {
+/// Submit one payload per node and pump until every node delivered all
+/// of them, in one total order.
+void run_one_round(AbcCluster& cluster) {
+  const int n = cluster.n();
+  for (int id = 0; id < n; ++id) {
     cluster.state(id).abc->submit(bytes_of("m" + std::to_string(id)));
   }
   ASSERT_TRUE(cluster.run_until([&] {
-    for (int id = 0; id < 4; ++id) {
-      if (cluster.state(id).delivered.size() < 4) return false;
+    for (int id = 0; id < n; ++id) {
+      if (cluster.state(id).delivered.size() < static_cast<std::size_t>(n)) return false;
     }
     return true;
   }));
-  cluster.expect_identical_order();
+  const auto& reference = cluster.state(0).delivered;
+  for (int id = 1; id < n; ++id) {
+    EXPECT_EQ(cluster.state(id).delivered, reference) << "total order violated";
+  }
+}
+
+TEST(NetworkedNodeTest, AtomicBroadcastOverLoopback) {
+  auto cluster = abc_cluster(4, /*seed=*/11, LoopbackHub::FaultProfile{});
+  run_one_round(*cluster);
   for (int id = 0; id < 4; ++id) {
-    EXPECT_EQ(cluster.nodes[static_cast<std::size_t>(id)]->stats().malformed, 0u);
+    EXPECT_EQ(cluster->node(id).stats().malformed, 0u);
   }
 }
 
 TEST(NetworkedNodeTest, AtomicBroadcastUnderChaosProfile) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    NetCluster cluster(4, seed, LoopbackHub::FaultProfile::chaos());
-    for (int id = 0; id < 4; ++id) {
-      cluster.state(id).abc->submit(bytes_of("m" + std::to_string(id)));
-    }
-    ASSERT_TRUE(cluster.run_until([&] {
-      for (int id = 0; id < 4; ++id) {
-        if (cluster.state(id).delivered.size() < 4) return false;
-      }
-      return true;
-    })) << "seed " << seed;
-    cluster.expect_identical_order();
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    run_one_round(*abc_cluster(4, seed, LoopbackHub::FaultProfile::chaos()));
   }
 }
 
@@ -140,7 +92,7 @@ TEST(NetworkedNodeTest, InboxQuotaDropsOldest) {
   config.max_inbox = 4;
   NetworkedNode node(config);
   RecordingProcess process;
-  node.attach(process);
+  node.add_group(0).attach(process);
   for (int i = 0; i < 10; ++i) {
     net::Message m;
     m.from = 1;
@@ -148,7 +100,7 @@ TEST(NetworkedNodeTest, InboxQuotaDropsOldest) {
     m.tag = "t";
     m.payload = bytes_of("p" + std::to_string(i));
     const Bytes wire = NetworkedNode::encode_payload(m);
-    node.on_transport_receive(1, wire);
+    node.on_transport_receive(1, 0, wire);
   }
   node.poll();
   // Drop-oldest: the newest 4 survive the quota.
@@ -165,14 +117,41 @@ TEST(NetworkedNodeTest, MalformedPayloadCountedAndDropped) {
   config.n = 2;
   NetworkedNode node(config);
   RecordingProcess process;
-  node.attach(process);
+  node.add_group(0).attach(process);
   const Bytes junk = bytes_of("not a message");
-  node.on_transport_receive(1, junk);
-  node.on_transport_receive(1, BytesView{});
+  node.on_transport_receive(1, 0, junk);
+  node.on_transport_receive(1, 0, BytesView{});
   node.poll();
   EXPECT_TRUE(process.seen.empty());
   EXPECT_EQ(node.stats().malformed, 2u);
   EXPECT_EQ(node.stats().dispatched, 0u);
+}
+
+TEST(NetworkedNodeTest, FreshNodeHostsNoTenantUntilAddGroup) {
+  NetworkedNode::Config config;
+  config.node_id = 0;
+  config.n = 2;
+  NetworkedNode node(config);
+  net::Message m;
+  m.from = 1;
+  m.to = 0;
+  m.tag = "t";
+  m.payload = bytes_of("early");
+  // No implicit group 0: a group-0 payload has no tenant to reach.
+  node.on_transport_receive(1, 0, NetworkedNode::encode_payload(m));
+  EXPECT_EQ(node.poll(), 0u);
+  EXPECT_EQ(node.stats().unknown_group, 1u);
+  EXPECT_EQ(node.stats().dispatched, 0u);
+
+  // Tenants come only from add_group, with their starting epoch.
+  RecordingProcess process;
+  auto& group = node.add_group(0, /*epoch=*/3);
+  group.attach(process);
+  EXPECT_EQ(node.group(0).epoch(), 3u);
+  node.on_transport_receive(1, 0, NetworkedNode::encode_payload(m, 3));
+  EXPECT_EQ(node.poll(), 1u);
+  ASSERT_EQ(process.seen.size(), 1u);
+  EXPECT_EQ(process.seen[0], bytes_of("early"));
 }
 
 TEST(NetworkedNodeTest, PayloadWireFormatRoundTrips) {
@@ -196,13 +175,13 @@ TEST(NetworkedNodeTest, SelfSubmitLoopsThroughInbox) {
   config.n = 2;
   NetworkedNode node(config);
   RecordingProcess process;
-  node.attach(process);
+  node.add_group(0).attach(process);
   net::Message m;
   m.from = 0;
   m.to = 0;
   m.tag = "self";
   m.payload = bytes_of("loop");
-  node.submit(m);
+  node.group(0).submit(m);
   EXPECT_TRUE(process.seen.empty());  // asynchronous, like the simulator
   node.poll();
   ASSERT_EQ(process.seen.size(), 1u);
@@ -216,11 +195,12 @@ TEST(NetworkedNodeTest, TimersFireThroughPoll) {
   config.n = 2;
   NetworkedNode node(config);
   RecordingProcess process;
-  node.attach(process);
+  auto& endpoint = node.add_group(0);
+  endpoint.attach(process);
   int fired = 0;
-  node.schedule_timer(0, 1, [&] { ++fired; });
-  const auto cancelled = node.schedule_timer(0, 1, [&] { ++fired; });
-  node.cancel_timer(cancelled);
+  endpoint.schedule_timer(0, 1, [&] { ++fired; });
+  const auto cancelled = endpoint.schedule_timer(0, 1, [&] { ++fired; });
+  endpoint.cancel_timer(cancelled);
   EXPECT_TRUE(node.run_until([&] { return fired >= 1; }, /*timeout_ms=*/2000));
   EXPECT_EQ(fired, 1);
 }

@@ -57,7 +57,6 @@ using crypto::PartySet;
 using crypto::contains;
 using crypto::party_bit;
 using net::PartitionProfile;
-using net::transport::LoopbackHub;
 using net::transport::NetworkedNode;
 using protocols::AtomicBroadcast;
 using protocols::ChaosCluster;
@@ -784,108 +783,52 @@ TEST(ReconfigChaosTest, MidEpochCrashRestartReplaysToTheSameEpoch) {
 
 constexpr int kLoopN = 4;
 
+/// Party `id`'s side of one reconfiguration epoch with its WAL on, built
+/// inside its instance tree and started.
+std::unique_ptr<ReconfigState> start_logged_epoch(net::Party& party, const ReconfigPlan& plan,
+                                                  int id) {
+  party.enable_wal();
+  auto state = std::make_unique<ReconfigState>();
+  party.with_instance(kTag, [&] {
+    state->reconfig = std::make_unique<Reconfig>(
+        party, kTag, plan, std::nullopt, options_for(plan, id, 0),
+        [s = state.get()](const ReconfigResult& r) { s->result = r; });
+    state->reconfig->start();
+  });
+  return state;
+}
+
 /// Four NetworkedNode+LoopbackHub parties running one reconfiguration
 /// epoch over real (in-process) transport framing.
-struct LoopbackEpoch {
-  Deployment deployment;
-  ReconfigPlan plan;
-  std::uint64_t seed;
-  LoopbackHub hub;
-  std::vector<std::unique_ptr<NetworkedNode>> nodes;
-  std::vector<std::unique_ptr<HostedParty<ReconfigState>>> hosts;
-  std::vector<std::unique_ptr<ExecutorPool>> execs;
-  std::size_t executors;
+using EpochCluster = protocols::NodeCluster<ReconfigState>;
 
-  LoopbackEpoch(Deployment d, ReconfigPlan p, std::uint64_t s, std::size_t executor_count = 0)
-      : deployment(std::move(d)), plan(std::move(p)), seed(s), hub(kLoopN, s),
-        nodes(kLoopN), hosts(kLoopN), execs(kLoopN), executors(executor_count) {
-    for (int id = 0; id < kLoopN; ++id) build_node(id);
-  }
+EpochCluster::Factory epoch_factory(const ReconfigPlan& plan) {
+  return [plan](net::Party& party, int id, std::uint32_t) {
+    return start_logged_epoch(party, plan, id);
+  };
+}
 
-  ~LoopbackEpoch() {
-    for (auto& pool : execs) {
-      if (pool) pool->stop();
-    }
+bool all_done(EpochCluster& cluster) {
+  for (int id = 0; id < kLoopN; ++id) {
+    if (!cluster.state(id).result.has_value()) return false;
   }
-
-  void build_node(int id) {
-    const auto slot = static_cast<std::size_t>(id);
-    NetworkedNode::Config config;
-    config.node_id = id;
-    config.n = kLoopN;
-    auto node = std::make_unique<NetworkedNode>(config);
-    auto pool = std::make_unique<ExecutorPool>(executors);
-    auto host = std::make_unique<HostedParty<ReconfigState>>(
-        *node, id, deployment, seed * 7919 + static_cast<std::uint64_t>(id),
-        [&](net::Party& party) {
-          party.enable_wal();
-          party.set_executors(pool.get());
-          auto state = std::make_unique<ReconfigState>();
-          party.with_instance(kTag, [&] {
-            state->reconfig = std::make_unique<Reconfig>(
-                party, kTag, plan, std::nullopt, options_for(plan, id, 0),
-                [s = state.get()](const ReconfigResult& r) { s->result = r; });
-            state->reconfig->start();
-          });
-          return state;
-        });
-    node->set_executors(pool.get());
-    node->attach(*host);
-    node->bind_transport_batched([this, id](int peer, std::vector<net::transport::GroupPayload> payloads) {
-      hub.send_many(id, peer, std::move(payloads));
-    });
-    hub.set_receiver(id, [raw = node.get()](int from, BytesView payload) {
-      raw->on_transport_receive(from, payload);
-    });
-    nodes[slot] = std::move(node);
-    hosts[slot] = std::move(host);
-    execs[slot] = std::move(pool);
-  }
-
-  bool run_until(const std::function<bool()>& done, std::size_t max_iters = 3'000'000) {
-    for (std::size_t iter = 0; iter < max_iters; ++iter) {
-      if (done()) return true;
-      bool progressed = false;
-      for (auto& node : nodes) {
-        if (node) progressed = (node->poll() > 0) || progressed;
-      }
-      progressed = hub.step() || progressed;
-      if (!progressed) {
-        for (auto& pool : execs) {
-          if (pool) pool->wait_idle();
-        }
-        for (auto& node : nodes) {
-          if (node) node->poll();
-        }
-        hub.tick();
-        std::this_thread::sleep_for(std::chrono::microseconds(300));
-      }
-    }
-    return done();
-  }
-
-  bool all_done() {
-    for (auto& host : hosts) {
-      if (host && !host->protocol().result.has_value()) return false;
-    }
-    return true;
-  }
-};
+  return true;
+}
 
 TEST(ReconfigChaosTest, EpochCompletesUnderActivePartitionSchedule) {
   for (std::uint64_t seed : reconfig_seeds()) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed + 200);
     auto deployment = Deployment::threshold(kLoopN, 1, rng);
-    LoopbackEpoch cluster(deployment, swap_plan(), seed);
-    cluster.hub.set_partition_profile(
+    EpochCluster cluster({.groups = {deployment}, .seed = seed}, epoch_factory(swap_plan()));
+    cluster.hub().set_partition_profile(
         PartitionProfile::split_heal(kLoopN, seed * 13 + 1, /*period=*/48, /*splits=*/2));
-    ASSERT_TRUE(cluster.run_until([&] { return cluster.all_done(); }));
+    ASSERT_TRUE(cluster.run_until([&] { return all_done(cluster); }));
     const auto& group = deployment.keys->public_keys().coin.group();
     Writer ref_w;
-    cluster.hosts[0]->protocol().result->config.encode(ref_w, group);
+    cluster.state(0).result->config.encode(ref_w, group);
     for (int id = 0; id < kLoopN; ++id) {
-      const auto& result = cluster.hosts[static_cast<std::size_t>(id)]->protocol().result;
+      const auto& result = cluster.state(id).result;
       ASSERT_TRUE(result->completed) << "member " << id;
       Writer w;
       result->config.encode(w, group);
@@ -902,13 +845,14 @@ TEST(ReconfigChaosTest, MidEpochWalSnapshotRestoresBitExactly) {
   // WAL being replayed.
   Rng rng(77);
   auto deployment = Deployment::threshold(kLoopN, 1, rng);
-  LoopbackEpoch cluster(deployment, swap_plan(), 7, /*executor_count=*/4);
+  const ReconfigPlan plan = swap_plan();
+  EpochCluster cluster({.groups = {deployment}, .seed = 7, .executors = 4}, epoch_factory(plan));
+  // A fixed pass count, not all_done(): with executors on, the results are
+  // written on executor threads and may only be read after wait_idle().
   std::size_t steps = 0;
-  cluster.run_until([&] { return ++steps >= 4000 || cluster.all_done(); }, 4000);
-  for (auto& pool : cluster.execs) {
-    if (pool) pool->wait_idle();
-  }
-  const Bytes snapshot = cluster.hosts[1]->snapshot();
+  cluster.run_until([&] { return ++steps >= 4000; });
+  cluster.wait_idle();
+  const Bytes snapshot = cluster.host(1).snapshot();
   ASSERT_FALSE(snapshot.empty());
 
   const auto restore_into_fresh_stack = [&](Bytes& out) {
@@ -918,17 +862,9 @@ TEST(ReconfigChaosTest, MidEpochWalSnapshotRestoresBitExactly) {
     NetworkedNode fresh_node(config);  // not wired to the hub: replay only
     ExecutorPool fresh_pool(4);
     HostedParty<ReconfigState> fresh(
-        fresh_node, 1, deployment, 7 * 7919 + 1, [&](net::Party& party) {
-          party.enable_wal();
+        fresh_node.add_group(0), 1, deployment, 7 * 7919 + 1, [&](net::Party& party) {
           party.set_executors(&fresh_pool);
-          auto state = std::make_unique<ReconfigState>();
-          party.with_instance(kTag, [&] {
-            state->reconfig = std::make_unique<Reconfig>(
-                party, kTag, cluster.plan, std::nullopt, options_for(cluster.plan, 1, 0),
-                [s = state.get()](const ReconfigResult& r) { s->result = r; });
-            state->reconfig->start();
-          });
-          return state;
+          return start_logged_epoch(party, plan, 1);
         });
     fresh.restore(snapshot);
     fresh_pool.wait_idle();
@@ -1028,11 +964,11 @@ TEST(EpochPlumbingTest, TcpHelloOutsideTheEpochWindowIsRejected) {
   // Epochs 0 and 5: the handshake is refused, nothing is delivered.
   {
     std::atomic<std::size_t> received{0};
-    TcpTransport a(make_config(0, 5), [&](int, BytesView) { received++; });
+    TcpTransport a(make_config(0, 5), [&](int, std::uint32_t, BytesView) { received++; });
     a.start();
     auto config_b = make_config(1, 0);
     config_b.endpoints[0].port = a.listen_port();
-    TcpTransport b(config_b, [](int, BytesView) {});
+    TcpTransport b(config_b, [](int, std::uint32_t, BytesView) {});
     b.start();
     b.send(0, bytes_of("stale-committee traffic"));
     ASSERT_TRUE(wait_for(
@@ -1044,11 +980,11 @@ TEST(EpochPlumbingTest, TcpHelloOutsideTheEpochWindowIsRejected) {
   // Adjacent epochs (the reconfiguration transition window) interoperate.
   {
     std::atomic<std::size_t> received{0};
-    TcpTransport a(make_config(0, 2), [&](int, BytesView) { received++; });
+    TcpTransport a(make_config(0, 2), [&](int, std::uint32_t, BytesView) { received++; });
     a.start();
     auto config_b = make_config(1, 1);
     config_b.endpoints[0].port = a.listen_port();
-    TcpTransport b(config_b, [](int, BytesView) {});
+    TcpTransport b(config_b, [](int, std::uint32_t, BytesView) {});
     b.start();
     b.send(0, bytes_of("transition-window traffic"));
     ASSERT_TRUE(wait_for([&] { return received.load() >= 1; }, 5000));
@@ -1067,11 +1003,11 @@ TEST(EpochPlumbingTest, NetworkedNodeGatesPayloadsByEpoch) {
   NetworkedNode::Config config;
   config.node_id = 0;
   config.n = 2;
-  config.epoch = 3;
   config.max_future = 2;
   NetworkedNode node(config);
+  auto& group = node.add_group(0, /*epoch=*/3);
   CollectorProcess collector;
-  node.attach(collector);
+  group.attach(collector);
 
   const auto payload_at = [](std::uint32_t epoch, const char* body) {
     net::Message m;
@@ -1082,12 +1018,12 @@ TEST(EpochPlumbingTest, NetworkedNodeGatesPayloadsByEpoch) {
     return NetworkedNode::encode_payload(m, epoch);
   };
 
-  node.on_transport_receive(1, payload_at(3, "current"));   // dispatched
-  node.on_transport_receive(1, payload_at(2, "stale"));     // dropped
-  node.on_transport_receive(1, payload_at(9, "far"));       // dropped
-  node.on_transport_receive(1, payload_at(4, "future-1"));  // buffered
-  node.on_transport_receive(1, payload_at(4, "future-2"));  // buffered
-  node.on_transport_receive(1, payload_at(4, "overflow"));  // max_future hit
+  node.on_transport_receive(1, 0, payload_at(3, "current"));   // dispatched
+  node.on_transport_receive(1, 0, payload_at(2, "stale"));     // dropped
+  node.on_transport_receive(1, 0, payload_at(9, "far"));       // dropped
+  node.on_transport_receive(1, 0, payload_at(4, "future-1"));  // buffered
+  node.on_transport_receive(1, 0, payload_at(4, "future-2"));  // buffered
+  node.on_transport_receive(1, 0, payload_at(4, "overflow"));  // max_future hit
   node.poll();
   ASSERT_EQ(collector.messages.size(), 1u);
   EXPECT_EQ(collector.messages[0].payload, bytes_of("current"));
@@ -1096,12 +1032,12 @@ TEST(EpochPlumbingTest, NetworkedNodeGatesPayloadsByEpoch) {
   EXPECT_EQ(node.stats().epoch_dropped, 1u);
 
   // advance_epoch replays the parked next-epoch traffic in arrival order.
-  node.advance_epoch(4);
+  group.advance_epoch(4);
   node.poll();
   ASSERT_EQ(collector.messages.size(), 3u);
   EXPECT_EQ(collector.messages[1].payload, bytes_of("future-1"));
   EXPECT_EQ(collector.messages[2].payload, bytes_of("future-2"));
-  EXPECT_EQ(node.epoch(), 4u);
+  EXPECT_EQ(group.epoch(), 4u);
 
   // decode_payload surfaces the stamp.
   std::uint32_t stamped = 0;

@@ -30,7 +30,6 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "adversary/quorum.hpp"
@@ -232,103 +231,44 @@ std::unique_ptr<ShardState> make_shard_state(net::Party& party, int shard) {
   return state;
 }
 
-struct ShardedCluster {
-  LoopbackHub hub;
-  std::vector<std::unique_ptr<NetworkedNode>> nodes;
-  std::vector<std::unique_ptr<ExecutorPool>> execs;
-  /// hosts[node][shard]
-  std::vector<std::vector<std::unique_ptr<HostedParty<ShardState>>>> hosts;
+/// Four machines, each hosting kShards groups over one transport link and
+/// one executor pool.
+using ShardCluster = protocols::NodeCluster<ShardState>;
 
-  ShardedCluster(const adversary::Deployment& deployment, std::size_t executors)
-      : hub(kN, kSeed) {
+bool run_until_total(ShardCluster& cluster, std::size_t per_shard_total) {
+  return cluster.run_until([&] {
     for (int id = 0; id < kN; ++id) {
-      NetworkedNode::Config config;
-      config.node_id = id;
-      config.n = kN;
-      auto node = std::make_unique<NetworkedNode>(config);
-      auto pool = std::make_unique<ExecutorPool>(executors);
-      std::vector<std::unique_ptr<HostedParty<ShardState>>> tenants;
       for (int s = 0; s < kShards; ++s) {
-        auto& endpoint = node->add_group(static_cast<std::uint32_t>(s));
-        auto host = std::make_unique<HostedParty<ShardState>>(
-            endpoint, id, deployment,
-            kSeed * 7919 + static_cast<std::uint64_t>(id * kShards + s),
-            [&pool, s](net::Party& party) {
-              party.enable_wal();
-              party.set_executors(pool.get());
-              // Distinct lane salt per tenant: two groups running the
-              // same protocol tags must not serialize on one lane.
-              party.set_lane_group(static_cast<std::uint64_t>(s));
-              return make_shard_state(party, s);
-            });
-        endpoint.attach(*host);
-        tenants.push_back(std::move(host));
-      }
-      node->set_executors(pool.get());
-      node->bind_transport_batched(
-          [this, id](int peer, std::vector<net::transport::GroupPayload> payloads) {
-            hub.send_many(id, peer, std::move(payloads));
-          });
-      hub.set_receiver(id, [raw = node.get()](int from, std::uint32_t group, BytesView payload) {
-        raw->on_transport_receive(from, group, payload);
-      });
-      nodes.push_back(std::move(node));
-      hosts.push_back(std::move(tenants));
-      execs.push_back(std::move(pool));
-    }
-  }
-
-  ~ShardedCluster() { stop(); }
-
-  void stop() {
-    for (auto& pool : execs) pool->stop();
-  }
-
-  ShardState& state(int id, int shard) {
-    return hosts[static_cast<std::size_t>(id)][static_cast<std::size_t>(shard)]->protocol();
-  }
-
-  bool run_until_total(std::size_t per_shard_total, std::size_t max_iters = 5'000'000) {
-    auto done = [&] {
-      for (auto& tenants : hosts) {
-        for (auto& host : tenants) {
-          if (host->protocol().total.load(std::memory_order_acquire) < per_shard_total) {
-            return false;
-          }
+        if (cluster.state(id, s).total.load(std::memory_order_acquire) < per_shard_total) {
+          return false;
         }
       }
-      return true;
-    };
-    for (std::size_t iter = 0; iter < max_iters; ++iter) {
-      if (done()) return true;
-      bool progressed = false;
-      for (auto& node : nodes) progressed = (node->poll() > 0) || progressed;
-      progressed = hub.step() || progressed;
-      if (!progressed) {
-        for (auto& pool : execs) pool->wait_idle();
-        for (auto& node : nodes) node->poll();
-        hub.tick();
-        std::this_thread::yield();
-      }
     }
-    return done();
-  }
-};
+    return true;
+  });
+}
 
 TEST(ShardedClusterTest, TwoGroupsAgreeIndependentlyOverOneTransport) {
   Rng rng(23);
   const auto deployment = adversary::Deployment::threshold(kN, 1, rng);
-  ShardedCluster cluster(deployment, /*executors=*/4);
+  ShardCluster cluster(
+      ShardCluster::Config{.groups = std::vector<adversary::Deployment>(kShards, deployment),
+                           .seed = kSeed,
+                           .executors = 4},
+      [](net::Party& party, int, std::uint32_t shard) {
+        party.enable_wal();
+        return make_shard_state(party, static_cast<int>(shard));
+      });
 
   for (int s = 0; s < kShards; ++s) {
     for (int i = 0; i < kPerShard; ++i) {
-      auto& host = *cluster.hosts[static_cast<std::size_t>((s + i) % kN)][static_cast<std::size_t>(s)];
+      auto& host = cluster.host((s + i) % kN, s);
       host.party().with_instance(shard_tag(s), [&host, s, i] {
         host.protocol().abc->submit(bytes_of("s" + std::to_string(s) + "/p" + std::to_string(i)));
       });
     }
   }
-  ASSERT_TRUE(cluster.run_until_total(kPerShard));
+  ASSERT_TRUE(run_until_total(cluster, kPerShard));
   cluster.stop();
 
   // (a) agreement per group: every node delivers each group's payloads in
@@ -351,13 +291,14 @@ TEST(ShardedClusterTest, TwoGroupsAgreeIndependentlyOverOneTransport) {
   // (b) per-group WAL replay: each tenant's log restores into a fresh
   // sequential party and reproduces that tenant's sequence exactly.
   for (int s = 0; s < kShards; ++s) {
-    const Bytes snapshot = cluster.hosts[0][static_cast<std::size_t>(s)]->snapshot();
+    const Bytes snapshot = cluster.host(0, s).snapshot();
     NetworkedNode::Config config;
     config.node_id = 0;
     config.n = kN;
     NetworkedNode replay_node(config);
     HostedParty<ShardState> replay(
-        replay_node, 0, deployment, kSeed * 7919 + static_cast<std::uint64_t>(s),
+        replay_node.add_group(static_cast<std::uint32_t>(s)), 0, deployment,
+        kSeed * 7919 + static_cast<std::uint64_t>(s),
         [s](net::Party& party) {
           party.enable_wal();
           return make_shard_state(party, s);
@@ -371,7 +312,7 @@ TEST(ShardedClusterTest, TwoGroupsAgreeIndependentlyOverOneTransport) {
   // super-frames.  More payloads than frames means multi-payload frames;
   // one HMAC (and on TCP one sendmsg) covered each frame regardless of
   // how many groups' records it carried.
-  const LoopbackHub::Stats wire = cluster.hub.stats();
+  const LoopbackHub::Stats wire = cluster.hub().stats();
   EXPECT_GT(wire.batches_sent, 0u);
   EXPECT_GT(wire.coalesced_payloads, wire.batches_sent)
       << "every frame carried a single payload — coalescing never engaged";

@@ -58,20 +58,27 @@ TcpTransport::Config make_config(int node_id, int n, std::uint64_t seed) {
   return config;
 }
 
-/// Thread-safe per-peer payload collector.
+/// Thread-safe per-peer payload collector, keeping each record's group
+/// stamp beside it.
 struct Collector {
   std::mutex mutex;
   std::map<int, std::vector<Bytes>> received;
+  std::map<int, std::vector<std::uint32_t>> groups;
 
   TcpTransport::ReceiveFn fn() {
-    return [this](int from, std::uint32_t /*group*/, BytesView payload) {
+    return [this](int from, std::uint32_t group, BytesView payload) {
       std::lock_guard<std::mutex> lock(mutex);
       received[from].emplace_back(payload.begin(), payload.end());
+      groups[from].push_back(group);
     };
   }
   std::vector<Bytes> from(int peer) {
     std::lock_guard<std::mutex> lock(mutex);
     return received[peer];
+  }
+  std::vector<std::uint32_t> stamps(int peer) {
+    std::lock_guard<std::mutex> lock(mutex);
+    return groups[peer];
   }
   std::size_t count(int peer) {
     std::lock_guard<std::mutex> lock(mutex);
@@ -268,14 +275,22 @@ TEST(TcpTransportTest, SendManyCoalescesIntoOneBatchFrame) {
   b.start();
   ASSERT_TRUE(wait_for([&] { return a.stats().connects >= 1; }, 5000));
 
+  // Three groups interleaved in one flush: each record keeps its own
+  // wire-v4 group stamp through the shared super-frame.
   constexpr int kCount = 50;
-  std::vector<Bytes> payloads;
-  for (int i = 0; i < kCount; ++i) payloads.push_back(numbered(0, i));
+  const auto group_of = [](int i) { return static_cast<std::uint32_t>(i % 3); };
+  std::vector<GroupPayload> payloads;
+  for (int i = 0; i < kCount; ++i) payloads.push_back(GroupPayload{group_of(i), numbered(0, i)});
   a.send_many(1, payloads);
   ASSERT_TRUE(wait_for([&] { return cb.count(0) >= kCount; }, 5000));
   const auto got = cb.from(0);
+  const auto stamps = cb.stamps(0);
   ASSERT_EQ(got.size(), static_cast<std::size_t>(kCount));
-  for (int i = 0; i < kCount; ++i) EXPECT_EQ(got[static_cast<std::size_t>(i)], numbered(0, i));
+  ASSERT_EQ(stamps.size(), static_cast<std::size_t>(kCount));
+  for (int i = 0; i < kCount; ++i) {
+    EXPECT_EQ(got[static_cast<std::size_t>(i)], numbered(0, i));
+    EXPECT_EQ(stamps[static_cast<std::size_t>(i)], group_of(i)) << "record " << i;
+  }
 
   // The coalescing proof: all 50 payloads rode BATCH super-frames, and the
   // whole flush cost one frame and one HMAC (a retransmit on a slow runner
