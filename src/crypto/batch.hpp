@@ -50,6 +50,17 @@
 
 namespace sintra::crypto::batch {
 
+/// Outcome of an optimistic combine.  On success `value` is the combined
+/// value and `bad` is empty.  On failure `bad` lists the corrupted share
+/// indices (ascending) and `value` is recombined from the shares of the
+/// remaining parties when they still qualify; empty `bad` with no `value`
+/// means the shares never formed a qualified set.
+template <typename T>
+struct CombineResult {
+  std::optional<T> value;
+  std::vector<std::size_t> bad;
+};
+
 /// One DLEQ proof over the batch-shared bases (g1, g2): statement
 /// h1 = g1^x, h2 = g2^x, proof bound to `context`.
 struct DleqItem {
@@ -93,17 +104,11 @@ struct SchnorrItem {
 [[nodiscard]] std::vector<std::size_t> find_invalid_coin_shares(
     const CoinPublicKey& pk, BytesView name, const std::vector<CoinShare>& shares, Rng& rng);
 
-/// Batch-verify then combine.  On success `value` is the coin output and
-/// `bad` is empty; on failure `value` is nullopt and `bad` lists the
-/// corrupted share indices (empty `bad` with empty `value` means the
-/// honest shares do not form a qualified set).
-struct CoinCombineResult {
-  std::optional<Bytes> value;
-  std::vector<std::size_t> bad;
-};
-[[nodiscard]] CoinCombineResult combine_coin_optimistic(const CoinPublicKey& pk, BytesView name,
-                                                        const std::vector<CoinShare>& shares,
-                                                        Rng& rng);
+/// Batch-verify then combine: `value` is the coin output.
+[[nodiscard]] CombineResult<Bytes> combine_coin_optimistic(const CoinPublicKey& pk,
+                                                         BytesView name,
+                                                         const std::vector<CoinShare>& shares,
+                                                         Rng& rng);
 
 // -- TDH2 (tdh2.hpp) ---------------------------------------------------------
 
@@ -145,16 +150,10 @@ struct SigShareGroup {
                                            const std::vector<SigShareGroup>& groups, Rng& rng);
 
 /// Combine-then-verify fast path: combine the (unverified) set and check
-/// the single resulting RSA signature.  On success `signature` is set and
-/// `bad` is empty; on failure `bad` lists the corrupted share indices
-/// (empty `bad` with nullopt `signature` means the set was unqualified).
-struct SigCombineResult {
-  std::optional<BigInt> signature;
-  std::vector<std::size_t> bad;
-};
-[[nodiscard]] SigCombineResult combine_sig_optimistic(const ThresholdSigPublicKey& pk,
-                                                      BytesView message,
-                                                      const std::vector<SigShare>& shares,
-                                                      Rng& rng);
+/// the single resulting RSA signature; `value` is that signature.
+[[nodiscard]] CombineResult<BigInt> combine_sig_optimistic(const ThresholdSigPublicKey& pk,
+                                                           BytesView message,
+                                                           const std::vector<SigShare>& shares,
+                                                           Rng& rng);
 
 }  // namespace sintra::crypto::batch

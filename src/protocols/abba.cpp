@@ -437,100 +437,31 @@ void Abba::on_coin_share(int from, Reader& reader) {
   auto shares = reader.vec<CoinShare>(
       [&](Reader& r) { return CoinShare::decode(r, coin_pk.group()); });
   reader.expect_done();
-  Round& state = round_state(round);
-  if (crypto::contains(state.coin_support, from) || crypto::contains(state.coin_rejected, from) ||
-      state.coin.has_value()) {
-    return;
-  }
-  // Structural admission only: unit ownership and decode bounds.  The NIZK
-  // proofs are *not* checked here — they are deferred to one batched
+  // Structural admission only: the NIZK proofs are deferred to one batched
   // verification over the whole threshold set, run off the event loop.
-  for (const CoinShare& share : shares) {
-    SINTRA_REQUIRE(coin_pk.scheme().unit_owner(share.unit) == from,
-                   "abba: coin share unit not owned by sender");
-  }
-  state.coin_support |= crypto::party_bit(from);
+  if (!round_state(round).coin_shares.admit(coin_pk, from, std::move(shares))) return;
   bump_progress();
-  for (const CoinShare& share : shares) state.coin_shares.push_back(share);
   maybe_combine_coin(round);
 }
 
 void Abba::maybe_combine_coin(int round) {
-  Round& state = round_state(round);
-  if (state.coin.has_value() || state.coin_inflight) return;
+  auto& collector = round_state(round).coin_shares;
   const auto& coin_pk = host_.public_keys().coin;
-  if (!coin_pk.scheme().qualified(state.coin_support)) return;
-  state.coin_inflight = true;
-  const int attempt = ++state.coin_attempt;
-  // The random-linear-combination weights are seeded on the loop thread so
-  // sequential (deterministic-mode) runs replay bit-exactly.
-  const std::uint64_t seed = host_.rng().next();
-  // The job owns copies of everything except coin_pk, which is immutable
-  // for the party's lifetime and therefore safe to read from a worker.
-  host_.offload(tag_, [&coin_pk, name = coin_name(round), shares = state.coin_shares, round,
-                       attempt, seed]() -> Bytes {
-    Rng rng(seed);
-    auto result = crypto::batch::combine_coin_optimistic(coin_pk, name, shares, rng);
-    Writer w;
-    w.u8(kCoinVerdict);
-    w.u32(static_cast<std::uint32_t>(round));
-    w.u32(static_cast<std::uint32_t>(attempt));
-    w.vec(result.bad, [&](Writer& wr, const std::size_t& i) {
-      wr.u32(static_cast<std::uint32_t>(shares[i].unit));
-    });
-    if (result.value.has_value()) {
-      w.u8(1);
-      w.bytes(*result.value);
-    } else {
-      w.u8(0);
-    }
-    return w.take();
-  });
+  if (!coin_pk.scheme().qualified(collector.support())) return;
+  Writer header;
+  header.u8(kCoinVerdict);
+  header.u32(static_cast<std::uint32_t>(round));
+  collector.combine(host_, tag_, coin_pk, coin_name(round), header.take());
 }
 
 void Abba::on_coin_verdict(int from, Reader& reader) {
-  // Verdicts are verification results this party computed for itself; a
-  // peer has no business injecting one.
-  SINTRA_REQUIRE(from == me(), "abba: coin verdict from another party");
   const int round = static_cast<int>(reader.u32());
-  const int attempt = static_cast<int>(reader.u32());
-  auto bad_units = reader.vec<std::uint32_t>([](Reader& r) { return r.u32(); });
-  const bool ok = reader.u8() == 1;
-  Bytes value;
-  if (ok) value = reader.bytes();
-  reader.expect_done();
-  SINTRA_REQUIRE(round >= 1 && round < 1 << 20, "abba: implausible verdict round");
-  Round& state = round_state(round);
-  // Idempotency: threaded-mode verdicts are WAL-logged *and* regenerated
-  // when the triggering shares replay, so a verdict acts only if it is the
-  // one the current in-flight attempt is waiting for.
-  if (!state.coin_inflight || attempt != state.coin_attempt || state.coin.has_value()) return;
-  state.coin_inflight = false;
-  const auto& coin_pk = host_.public_keys().coin;
-  crypto::PartySet culprits = 0;
-  for (std::uint32_t unit : bad_units) {
-    SINTRA_REQUIRE(static_cast<int>(unit) < coin_pk.scheme().num_units(),
-                   "abba: verdict unit out of range");
-    culprits |= crypto::party_bit(coin_pk.scheme().unit_owner(static_cast<int>(unit)));
-  }
-  if (culprits != 0) {
-    // Byzantine sender pays: its shares leave the set for good and the
-    // party is fingered for the caller.
-    suspected_ |= culprits;
-    state.coin_rejected |= culprits;
-    state.coin_support &= ~culprits;
-    std::erase_if(state.coin_shares, [&](const CoinShare& s) {
-      return (culprits & crypto::party_bit(coin_pk.scheme().unit_owner(s.unit))) != 0;
-    });
-    host_.trace("abba", tag_ + " coin r" + std::to_string(round) +
-                            " rejected invalid shares (suspects fingered)");
-  }
-  if (!ok) {
-    SINTRA_INVARIANT(culprits != 0, "abba: coin verdict failed without culprits");
-    maybe_combine_coin(round);  // remaining honest shares may still qualify
-    return;
-  }
-  adopt_coin(round, value);
+  auto it = rounds_.find(round);
+  if (it == rounds_.end()) return;  // no combine was ever started there
+  auto coin = it->second.coin_shares.on_verdict(host_, from, host_.public_keys().coin, reader,
+                                                suspected_);
+  if (!coin.has_value()) return maybe_combine_coin(round);
+  adopt_coin(round, *coin);
 }
 
 void Abba::adopt_coin(int round, BytesView value) {

@@ -57,6 +57,7 @@
 #include <optional>
 
 #include "protocols/base.hpp"
+#include "protocols/share_collector.hpp"
 #include "protocols/watchdog.hpp"
 
 namespace sintra::protocols {
@@ -108,7 +109,7 @@ class Abba final : public ProtocolInstance {
     kMainVote = 1,
     kCoinShare = 2,
     kDecide = 3,
-    kCoinVerdict = 5,  ///< self-message: off-loop coin batch-verify result
+    kCoinVerdict = 5,  ///< self-message: coin ShareCollector verdict
   };
   enum Justification : std::uint8_t { kJustAnchor = 0, kJustHard = 1, kJustCoin = 2 };
   static constexpr std::uint8_t kAbstain = 2;
@@ -128,15 +129,10 @@ class Abba final : public ProtocolInstance {
     bool sent_mainvote = false;
     bool round_closed = false;  ///< main-vote quorum processed
     bool waiting_for_coin = false;
-    // Coin.  Shares are buffered after structural checks only; the NIZK
-    // batch verification + combine runs off-loop (Party::offload) and
+    // Coin.  The NIZK batch verification + combine runs off-loop and
     // reports back as a kCoinVerdict self-message.
     bool coin_released = false;
-    crypto::PartySet coin_support = 0;
-    crypto::PartySet coin_rejected = 0;  ///< senders with a proven-bad share
-    std::vector<crypto::CoinShare> coin_shares;
-    int coin_attempt = 0;        ///< verdicts are matched to the attempt
-    bool coin_inflight = false;  ///< a verification job is outstanding
+    ShareCollector<crypto::CoinShare> coin_shares;
     std::optional<bool> coin;
     /// COIN-justified pre-votes for round r+1 awaiting this round's coin:
     /// (voter, value, cert-signature shares); evidence already verified.

@@ -22,6 +22,7 @@
 #include <optional>
 
 #include "protocols/base.hpp"
+#include "protocols/share_collector.hpp"
 
 namespace sintra::protocols {
 
@@ -63,7 +64,7 @@ class ConsistentBroadcast final : public ProtocolInstance {
     kSend = 0,
     kShare = 1,
     kFinal = 2,
-    kVerdict = 3,  ///< self-message: off-loop combine-then-verify result
+    kVerdict = 3,  ///< self-message: ShareCollector verdict
   };
 
   void handle(int from, Reader& reader) override;
@@ -76,14 +77,9 @@ class ConsistentBroadcast final : public ProtocolInstance {
   bool started_ = false;
   bool signed_ = false;
   bool delivered_ = false;
-  bool finalized_ = false;
   Bytes my_message_;  ///< sender: the message being certified
-  crypto::PartySet share_owners_ = 0;
-  crypto::PartySet share_rejected_ = 0;  ///< senders with a proven-bad share
+  ShareCollector<crypto::SigShare> shares_;  ///< sender: finished once FINAL is out
   crypto::PartySet suspected_ = 0;
-  int combine_attempt_ = 0;
-  bool combine_inflight_ = false;
-  std::vector<crypto::SigShare> shares_;
 };
 
 }  // namespace sintra::protocols

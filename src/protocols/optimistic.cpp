@@ -148,88 +148,32 @@ void OptimisticBroadcast::on_share(int from, Reader& reader) {
   reader.expect_done();
   SINTRA_REQUIRE(seq < next_assign_, "opt: share for unassigned slot");
   Slot& slot = slots_[seq];
-  if (slot.commit_sent || slot.statement.empty() ||
-      crypto::contains(slot.share_from | slot.share_rejected, from)) {
-    return;
-  }
+  if (slot.statement.empty()) return;
   // Structural admission only: the sequencer combines an unverified quorum
   // optimistically and checks the one combined certificate off the event
   // loop, so the fast path never verifies an individual share.
-  const auto& cert_pk = host_.public_keys().cert_sig;
-  for (const SigShare& share : shares) {
-    SINTRA_REQUIRE(cert_pk.scheme().unit_owner(share.unit) == from,
-                   "opt: share unit not owned by sender");
+  if (slot.shares.admit(host_.public_keys().cert_sig, from, std::move(shares))) {
+    maybe_commit_slot(seq);
   }
-  slot.share_from |= crypto::party_bit(from);
-  for (const SigShare& share : shares) slot.shares.push_back(share);
-  maybe_commit_slot(seq);
 }
 
 void OptimisticBroadcast::maybe_commit_slot(std::uint64_t seq) {
   Slot& slot = slots_[seq];
-  if (slot.commit_sent || slot.share_inflight || slot.statement.empty()) return;
-  if (!quorum().is_quorum(slot.share_from)) return;
-  slot.share_inflight = true;
-  const int attempt = ++slot.share_attempt;
-  const std::uint64_t seed = host_.rng().next();  // weight seed drawn on the loop thread
-  const auto& cert_pk = host_.public_keys().cert_sig;
-  host_.offload(tag_, [&cert_pk, stmt = slot.statement, shares = slot.shares, seq, attempt,
-                       seed]() -> Bytes {
-    Rng rng(seed);
-    auto result = crypto::batch::combine_sig_optimistic(cert_pk, stmt, shares, rng);
-    Writer w;
-    w.u8(kShareVerdict);
-    w.u64(seq);
-    w.u32(static_cast<std::uint32_t>(attempt));
-    w.vec(result.bad, [&](Writer& wr, const std::size_t& i) {
-      wr.u32(static_cast<std::uint32_t>(shares[i].unit));
-    });
-    if (result.signature.has_value()) {
-      w.u8(1);
-      result.signature->encode(w);
-    } else {
-      w.u8(0);
-    }
-    return w.take();
-  });
+  if (!quorum().is_quorum(slot.shares.support())) return;
+  Writer header;
+  header.u8(kShareVerdict);
+  header.u64(seq);
+  slot.shares.combine(host_, tag_, host_.public_keys().cert_sig, slot.statement, header.take());
 }
 
 void OptimisticBroadcast::on_share_verdict(int from, Reader& reader) {
-  SINTRA_REQUIRE(from == me(), "opt: share verdict from another party");
   const std::uint64_t seq = reader.u64();
-  const int attempt = static_cast<int>(reader.u32());
-  auto bad_units = reader.vec<std::uint32_t>([](Reader& r) { return r.u32(); });
-  const bool ok = reader.u8() == 1;
-  std::optional<BigInt> certificate;
-  if (ok) certificate = BigInt::decode(reader);
-  reader.expect_done();
-  SINTRA_REQUIRE(seq < 1 << 24, "opt: implausible verdict sequence");
-  Slot& slot = slots_[seq];
-  // Idempotent against WAL-replayed duplicates.
-  if (!slot.share_inflight || attempt != slot.share_attempt || slot.commit_sent) return;
-  slot.share_inflight = false;
-  const auto& cert_pk = host_.public_keys().cert_sig;
-  crypto::PartySet culprits = 0;
-  for (std::uint32_t unit : bad_units) {
-    SINTRA_REQUIRE(static_cast<int>(unit) < cert_pk.scheme().num_units(),
-                   "opt: verdict unit out of range");
-    culprits |= crypto::party_bit(cert_pk.scheme().unit_owner(static_cast<int>(unit)));
-  }
-  if (culprits != 0) {
-    suspected_ |= culprits;
-    slot.share_rejected |= culprits;
-    slot.share_from &= ~culprits;
-    std::erase_if(slot.shares, [&](const SigShare& s) {
-      return (culprits & crypto::party_bit(cert_pk.scheme().unit_owner(s.unit))) != 0;
-    });
-    host_.trace("opt", tag_ + " slot " + std::to_string(seq) +
-                           " rejected invalid shares (suspects fingered)");
-  }
-  if (!ok) {
-    maybe_commit_slot(seq);  // remaining honest shares may still form a quorum
-    return;
-  }
-  slot.commit_sent = true;
+  auto it = slots_.find(seq);
+  if (it == slots_.end()) return;  // no combine was ever started there
+  Slot& slot = it->second;
+  auto certificate =
+      slot.shares.on_verdict(host_, from, host_.public_keys().cert_sig, reader, suspected_);
+  if (!certificate.has_value()) return maybe_commit_slot(seq);
   Writer w;
   w.u8(kCommit);
   w.u64(seq);

@@ -37,6 +37,7 @@
 #include <deque>
 
 #include "protocols/atomic.hpp"
+#include "protocols/share_collector.hpp"
 
 namespace sintra::protocols {
 
@@ -69,7 +70,7 @@ class OptimisticBroadcast final : public ProtocolInstance {
     kAck = 3,
     kSwitch = 4,
     kClaim = 5,
-    kShareVerdict = 6,  ///< self-message: off-loop slot-combine result
+    kShareVerdict = 6,  ///< self-message: slot ShareCollector verdict
   };
 
   struct Slot {
@@ -81,12 +82,7 @@ class OptimisticBroadcast final : public ProtocolInstance {
     bool delivered = false;
     // Sequencer bookkeeping:
     Bytes statement;              ///< canonical signed statement for the slot
-    crypto::PartySet share_from = 0;
-    crypto::PartySet share_rejected = 0;  ///< senders with a proven-bad share
-    std::vector<crypto::SigShare> shares;
-    int share_attempt = 0;
-    bool share_inflight = false;
-    bool commit_sent = false;
+    ShareCollector<crypto::SigShare> shares;  ///< finished once COMMIT is out
   };
 
   void handle(int from, Reader& reader) override;

@@ -33,6 +33,7 @@
 #include "crypto/coin.hpp"
 #include "protocols/abba.hpp"
 #include "protocols/consistent.hpp"
+#include "protocols/share_collector.hpp"
 
 namespace sintra::protocols {
 
@@ -61,7 +62,7 @@ class Vba final : public ProtocolInstance {
     kPermShare = 0,
     kFetch = 1,
     kProposal = 2,
-    kPermVerdict = 3,  ///< self-message: off-loop perm-coin batch-verify result
+    kPermVerdict = 3,  ///< self-message: perm-coin ShareCollector verdict
   };
 
   void handle(int from, Reader& reader) override;
@@ -89,11 +90,7 @@ class Vba final : public ProtocolInstance {
   crypto::PartySet have_ = 0;
 
   bool perm_released_ = false;
-  crypto::PartySet perm_support_ = 0;
-  crypto::PartySet perm_rejected_ = 0;  ///< senders with a proven-bad share
-  std::vector<crypto::CoinShare> perm_shares_;
-  int perm_attempt_ = 0;
-  bool perm_inflight_ = false;
+  ShareCollector<crypto::CoinShare> perm_shares_;
   crypto::PartySet suspected_ = 0;
   std::optional<std::vector<int>> permutation_;
 

@@ -7,9 +7,12 @@
 
 #include "app/ca.hpp"
 #include "app/client.hpp"
+#include "crypto/sha256.hpp"
 #include "protocols/abba.hpp"
 #include "protocols/consistent.hpp"
 #include "protocols/harness.hpp"
+#include "protocols/optimistic.hpp"
+#include "protocols/vba.hpp"
 
 namespace sintra {
 namespace {
@@ -146,20 +149,40 @@ struct AbbaState {
   std::optional<bool> decision;
 };
 
+/// Submits `payload` on `tag` as if party `from` had sent it to each of
+/// `to`.  Called before the protocols start, FIFO delivery lands it ahead
+/// of every honest message.
+void inject(net::Simulator& sim, int from, std::initializer_list<int> to, const std::string& tag,
+            const Bytes& payload) {
+  for (int dest : to) {
+    net::Message m;
+    m.from = from;
+    m.to = dest;
+    m.tag = tag;
+    m.payload = payload;
+    sim.submit(std::move(m));
+  }
+}
+
+protocols::Cluster<AbbaState> abba_cluster(const adversary::Deployment& deployment,
+                                           net::Scheduler& sched, std::uint64_t seed) {
+  return protocols::Cluster<AbbaState>(
+      deployment, sched,
+      [](net::Party& party, int) {
+        auto s = std::make_unique<AbbaState>();
+        s->abba = std::make_unique<protocols::Abba>(
+            party, "ba/0", [p = s.get()](bool v, int) { p->decision = v; });
+        return s;
+      },
+      0, 0, seed);
+}
+
 TEST(AbbaAttackTest, ForgedJustificationsRejectedAndAgreementHolds) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     Rng rng(seed);
     auto deployment = adversary::Deployment::threshold(4, 1, rng);
     net::RandomScheduler sched(seed * 5);
-    protocols::Cluster<AbbaState> cluster(
-        deployment, sched,
-        [](net::Party& party, int) {
-          auto s = std::make_unique<AbbaState>();
-          s->abba = std::make_unique<protocols::Abba>(
-              party, "ba/0", [p = s.get()](bool v, int) { p->decision = v; });
-          return s;
-        },
-        0, 0, seed);
+    auto cluster = abba_cluster(deployment, sched, seed);
     cluster.attach_custom(3, std::make_unique<ForgingVoter>(cluster.simulator(), 3,
                                                             deployment, seed));
     cluster.start();
@@ -331,15 +354,7 @@ TEST(OptimisticCombineAttackTest, AbbaCoinFingersInvalidShareAndTerminates) {
   Rng rng(11);
   auto deployment = adversary::Deployment::threshold(4, 1, rng);
   net::FifoScheduler sched;
-  protocols::Cluster<AbbaState> cluster(
-      deployment, sched,
-      [](net::Party& party, int) {
-        auto s = std::make_unique<AbbaState>();
-        s->abba = std::make_unique<protocols::Abba>(
-            party, "ba/0", [p = s.get()](bool v, int) { p->decision = v; });
-        return s;
-      },
-      0, 0, 11);
+  auto cluster = abba_cluster(deployment, sched, 11);
   cluster.start();
   {
     Rng attacker_rng(8888);
@@ -354,14 +369,7 @@ TEST(OptimisticCombineAttackTest, AbbaCoinFingersInvalidShareAndTerminates) {
     w.u8(2);  // Abba::kCoinShare
     w.u32(1);
     w.vec(shares, [&](Writer& wr, const CoinShare& s) { s.encode(wr, pk.group()); });
-    for (int to = 0; to < 3; ++to) {
-      net::Message m;
-      m.from = 3;
-      m.to = to;
-      m.tag = "ba/0";
-      m.payload = w.data();
-      cluster.simulator().submit(std::move(m));
-    }
+    inject(cluster.simulator(), 3, {0, 1, 2}, "ba/0", w.data());
   }
   // 2-2 input split: round 1 cannot hard-decide, so the coin IS consulted
   // and every party must run the batched combine over a set containing
@@ -383,6 +391,238 @@ TEST(OptimisticCombineAttackTest, AbbaCoinFingersInvalidShareAndTerminates) {
   });
   // ...and the batched fallback caught the tampered share somewhere.
   EXPECT_EQ(fingered_union, crypto::party_bit(3));
+}
+
+// ---- the share collector's admission rule and culprit path -------------------
+
+TEST(ShareCollectorAttackTest, AbbaCoinRejectsEmptyShareSet) {
+  // Party 3 claims a round-1 coin share with no shares behind it.  Counted
+  // as support, it would let one honest share look like a qualified set;
+  // the combine then fails with nobody to blame.
+  Rng rng(11);
+  auto deployment = adversary::Deployment::threshold(4, 1, rng);
+  net::FifoScheduler sched;
+  auto cluster = abba_cluster(deployment, sched, 11);
+  cluster.start();
+  Writer w;
+  w.u8(2);  // Abba::kCoinShare
+  w.u32(1);
+  w.vec(std::vector<CoinShare>{}, [](Writer&, const CoinShare&) {});
+  inject(cluster.simulator(), 3, {0, 1, 2}, "ba/0", w.data());
+  // 2-2 split: round 1 cannot hard-decide, so the coin is consulted.
+  std::vector<int> inputs = {1, 0, 1, 0};
+  cluster.for_each([&](int id, AbbaState& s) {
+    s.abba->start(inputs[static_cast<std::size_t>(id)] == 1);
+  });
+  ASSERT_TRUE(cluster.run_until_all(
+      [](AbbaState& s) { return s.decision.has_value(); }, 3000000));
+  std::optional<bool> common;
+  cluster.for_each([&](int id, AbbaState& s) {
+    if (!common.has_value()) common = s.decision;
+    EXPECT_EQ(*s.decision, *common);
+    EXPECT_EQ(s.abba->suspected(), 0u) << "party " << id;
+  });
+}
+
+struct VbaState {
+  std::unique_ptr<protocols::Vba> vba;
+  std::optional<Bytes> decision;
+};
+
+protocols::Cluster<VbaState> vba_cluster(const adversary::Deployment& deployment,
+                                         net::Scheduler& sched, std::uint64_t seed) {
+  return protocols::Cluster<VbaState>(
+      deployment, sched,
+      [](net::Party& party, int) {
+        auto s = std::make_unique<VbaState>();
+        s->vba = std::make_unique<protocols::Vba>(
+            party, "vba/0", [](BytesView) { return true; },
+            [p = s.get()](Bytes value) { p->decision = std::move(value); });
+        return s;
+      },
+      0, 0, seed);
+}
+
+/// Party 3's permutation-coin share message for "vba/0": its real shares,
+/// each value multiplied by `tweak` (nullopt sends no shares at all).
+Bytes vba_perm_share(const adversary::Deployment& deployment,
+                     const std::optional<crypto::Element>& tweak) {
+  const auto& pk = deployment.keys->public_keys().coin;
+  std::vector<CoinShare> shares;
+  if (tweak.has_value()) {
+    Writer name;  // must match Vba::perm_coin_name(tag="vba/0")
+    name.str("sintra/vba/perm");
+    name.str("vba/0");
+    Rng attacker_rng(8888);
+    shares = deployment.keys->share(3).coin.share(pk, name.data(), attacker_rng);
+    for (auto& s : shares) s.value = pk.group().mul(s.value, *tweak);
+  }
+  Writer w;
+  w.u8(0);  // Vba::kPermShare
+  w.vec(shares, [&](Writer& wr, const CoinShare& s) { s.encode(wr, pk.group()); });
+  return w.take();
+}
+
+void propose_and_decide(protocols::Cluster<VbaState>& cluster) {
+  cluster.for_each([](int id, VbaState& s) { s.vba->propose(bytes_of("v" + std::to_string(id))); });
+  ASSERT_TRUE(cluster.run_until_all(
+      [](VbaState& s) { return s.decision.has_value(); }, 5000000));
+  std::optional<Bytes> common;
+  cluster.for_each([&](int, VbaState& s) {
+    if (!common.has_value()) common = s.decision;
+    EXPECT_EQ(*s.decision, *common) << "agreement violated";
+  });
+}
+
+TEST(ShareCollectorAttackTest, VbaPermCoinRejectsEmptyShareSet) {
+  Rng rng(5);
+  auto deployment = adversary::Deployment::threshold(4, 1, rng);
+  net::FifoScheduler sched;
+  auto cluster = vba_cluster(deployment, sched, 5);
+  cluster.start();
+  inject(cluster.simulator(), 3, {0, 1, 2}, "vba/0", vba_perm_share(deployment, std::nullopt));
+  propose_and_decide(cluster);
+  cluster.for_each([](int id, VbaState& s) { EXPECT_EQ(s.vba->suspected(), 0u) << id; });
+}
+
+TEST(ShareCollectorAttackTest, VbaPermCoinFingersTamperedShareAndDecides) {
+  // Party 3 runs honestly, but the permutation-coin share its peers see
+  // first carries a wrong value (real key, correct coin name): every
+  // honest party's first combine holds it and must finger exactly 3.
+  Rng rng(5);
+  auto deployment = adversary::Deployment::threshold(4, 1, rng);
+  net::FifoScheduler sched;
+  auto cluster = vba_cluster(deployment, sched, 5);
+  cluster.start();
+  const auto& group = deployment.keys->public_keys().coin.group();
+  inject(cluster.simulator(), 3, {0, 1, 2}, "vba/0", vba_perm_share(deployment, group.g()));
+  propose_and_decide(cluster);
+  cluster.for_each([](int id, VbaState& s) {
+    EXPECT_EQ(s.vba->suspected(), id == 3 ? 0u : crypto::party_bit(3)) << "party " << id;
+  });
+}
+
+TEST(ShareCollectorAttackTest, CbcRejectsEmptyShareSet) {
+  // An empty share message from party 3 must not count toward the
+  // sender's quorum: with it, two honest shares would look like n - t.
+  Rng rng(3);
+  auto deployment = adversary::Deployment::threshold(4, 1, rng);
+  net::FifoScheduler sched;
+  const Bytes message = bytes_of("certify me");
+  protocols::Cluster<CbcState> cluster(
+      deployment, sched,
+      [](net::Party& party, int) {
+        auto s = std::make_unique<CbcState>();
+        s->cbc = std::make_unique<protocols::ConsistentBroadcast>(
+            party, "cbc/x", 0,
+            [p = s.get()](protocols::CertifiedMessage cm) { p->delivered = cm.message; });
+        return s;
+      },
+      0, 0, 3);
+  cluster.start();
+  Writer w;
+  w.u8(1);  // ConsistentBroadcast::kShare
+  w.vec(std::vector<SigShare>{}, [](Writer&, const SigShare&) {});
+  inject(cluster.simulator(), 3, {0}, "cbc/x", w.data());
+  cluster.protocol(0)->cbc->start(message);
+  ASSERT_TRUE(cluster.run_until_all(
+      [](CbcState& s) { return s.delivered.has_value(); }, 1000000));
+  cluster.for_each([&](int, CbcState& s) { EXPECT_EQ(*s.delivered, message); });
+  EXPECT_EQ(cluster.protocol(0)->cbc->suspected(), 0u);
+}
+
+/// Optimistic-broadcast party that answers every ASSIGN from sequencer 0
+/// with a bad slot share: its real shares with doubled values, or none.
+class BadSlotShareSender final : public net::Process {
+ public:
+  BadSlotShareSender(net::Simulator& sim, int id, adversary::Deployment deployment, bool empty)
+      : sim_(sim), id_(id), deployment_(std::move(deployment)), empty_(empty) {
+    auto genesis = crypto::hash_domain("sintra/opt/genesis", bytes_of("opt"));
+    chain_ = Bytes(genesis.begin(), genesis.end());
+  }
+
+  void on_message(const net::Message& message) override {
+    Reader r(message.payload);
+    if (message.tag != "opt" || message.from != 0 || r.u8() != 0) return;  // kAssign only
+    const std::uint64_t seq = r.u64();
+    const Bytes payload = r.bytes();
+    if (seq != next_seq_) return;  // FIFO from the sequencer: slots arrive in order
+    ++next_seq_;
+    Writer link;  // must match OptimisticBroadcast::chain_after
+    link.raw(chain_);
+    link.u64(seq);
+    link.bytes(payload);
+    auto digest = crypto::hash_domain("sintra/opt/chain", link.data());
+    chain_ = Bytes(digest.begin(), digest.end());
+    std::vector<SigShare> shares;
+    if (!empty_) {
+      Writer stmt;  // must match OptimisticBroadcast::slot_statement
+      stmt.str("sintra/opt/slot");
+      stmt.str("opt");
+      stmt.u64(seq);
+      stmt.raw(chain_);
+      const auto& pk = deployment_.keys->public_keys().cert_sig;
+      shares = deployment_.keys->share(id_).cert_sig.sign(pk, stmt.data(), rng_);
+      for (auto& s : shares) s.value = BigInt::mul_mod(s.value, BigInt(2), pk.modulus());
+    }
+    Writer w;
+    w.u8(1);  // OptimisticBroadcast::kShare
+    w.u64(seq);
+    w.vec(shares, [](Writer& wr, const SigShare& s) { s.encode(wr); });
+    inject(sim_, id_, {0}, "opt", w.data());
+  }
+
+ private:
+  net::Simulator& sim_;
+  int id_;
+  adversary::Deployment deployment_;
+  bool empty_;
+  Rng rng_{4242};
+  Bytes chain_;
+  std::uint64_t next_seq_ = 0;
+};
+
+struct OptState {
+  std::unique_ptr<protocols::OptimisticBroadcast> opt;
+  std::vector<Bytes> log;
+};
+
+/// Party 1 is the attacker: under FIFO its share reaches sequencer 0 right
+/// after the sequencer's own, so it sits in the first quorum-sized set.
+void run_slot_attack(bool empty, crypto::PartySet expect_suspected) {
+  Rng rng(13);
+  auto deployment = adversary::Deployment::threshold(4, 1, rng);
+  net::FifoScheduler sched;
+  protocols::Cluster<OptState> cluster(
+      deployment, sched,
+      [](net::Party& party, int) {
+        auto s = std::make_unique<OptState>();
+        s->opt = std::make_unique<protocols::OptimisticBroadcast>(
+            party, "opt", /*sequencer=*/0,
+            [p = s.get()](Bytes payload) { p->log.push_back(std::move(payload)); });
+        return s;
+      },
+      0, 0, 13);
+  cluster.attach_custom(
+      1, std::make_unique<BadSlotShareSender>(cluster.simulator(), 1, deployment, empty));
+  cluster.start();
+  const std::vector<Bytes> payloads = {bytes_of("tx-a"), bytes_of("tx-b")};
+  for (const Bytes& payload : payloads) cluster.protocol(0)->opt->submit(payload);
+  ASSERT_TRUE(cluster.run_until_all(
+      [&](OptState& s) { return s.log.size() == payloads.size(); }, 1000000));
+  cluster.for_each([&](int, OptState& s) {
+    EXPECT_EQ(s.log, payloads);
+    EXPECT_FALSE(s.opt->pessimistic()) << "slots must commit on the fast path";
+  });
+  EXPECT_EQ(cluster.protocol(0)->opt->suspected(), expect_suspected);
+}
+
+TEST(ShareCollectorAttackTest, OptimisticSlotRejectsEmptyShareSet) {
+  run_slot_attack(/*empty=*/true, 0);
+}
+
+TEST(ShareCollectorAttackTest, OptimisticSlotFingersTamperedShareAndCommits) {
+  run_slot_attack(/*empty=*/false, crypto::party_bit(1));
 }
 
 // ---- client-facing attacks ---------------------------------------------------

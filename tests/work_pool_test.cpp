@@ -13,6 +13,7 @@
 #include "adversary/examples.hpp"
 #include "common/work_pool.hpp"
 #include "protocols/abba.hpp"
+#include "protocols/consistent.hpp"
 #include "protocols/harness.hpp"
 
 namespace sintra {
@@ -153,8 +154,10 @@ TEST(WorkPoolTest, HasCompletionsAndNotifyWakeTheOwner) {
   pool.set_notify([&] { notified.fetch_add(1); });
   pool.submit([] { return payload_of(9); }, [](Bytes) {});
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (!pool.has_completions()) {
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "completion never surfaced";
+  // The hook fires after the result is published, so that the owner it
+  // wakes finds the result; it may trail has_completions() by a moment.
+  while (!pool.has_completions() || notified.load() == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "completion or notify never surfaced";
     std::this_thread::yield();
   }
   EXPECT_GE(notified.load(), 1);
@@ -218,6 +221,55 @@ TEST(WorkPoolTest, SeededSimulatorRunsAreBitExactWithPoolEnabled) {
     EXPECT_EQ(with_pool_a, with_pool_b) << "seed " << seed;
     EXPECT_EQ(with_pool_a, without_pool) << "seed " << seed;
   }
+}
+
+struct CbcState {
+  std::unique_ptr<protocols::ConsistentBroadcast> cbc;  ///< null at the attacker
+  bool delivered = false;
+};
+
+TEST(WorkPoolTest, WorkerThreadCombineFingersBadShareAndRearms) {
+  // Networked cluster whose combines run on worker threads.  Party 3 signs
+  // the CBC statement with its real key and doubles every share value; the
+  // sender admits that share before any honest one exists, so its first
+  // combine holds it.  The verdict crosses back to the protocol thread,
+  // fingers exactly 3, strips its share and re-arms over the honest quorum.
+  Rng rng(3);
+  auto deployment = adversary::Deployment::threshold(4, 1, rng);
+  const Bytes message = bytes_of("certify me");
+  protocols::NodeCluster<CbcState> cluster(
+      protocols::NodeCluster<CbcState>::Config{
+          .groups = {deployment}, .seed = 3, .workers = 2},
+      [](net::Party& party, int id, std::uint32_t) {
+        auto s = std::make_unique<CbcState>();
+        if (id != 3) {
+          s->cbc = std::make_unique<protocols::ConsistentBroadcast>(
+              party, "cbc/x", 0, [p = s.get()](protocols::CertifiedMessage) {
+                p->delivered = true;
+              });
+        }
+        return s;
+      });
+  const auto& pk = deployment.keys->public_keys().cert_sig;
+  Rng attacker_rng(7777);
+  auto shares = deployment.keys->share(3).cert_sig.sign(
+      pk, protocols::consistent_statement("cbc/x", message), attacker_rng);
+  for (auto& s : shares) s.value = crypto::BigInt::mul_mod(s.value, crypto::BigInt(2), pk.modulus());
+  Writer w;
+  w.u8(1);  // ConsistentBroadcast::kShare
+  w.vec(shares, [](Writer& wr, const crypto::SigShare& s) { s.encode(wr); });
+  cluster.host(3).party().send(0, "cbc/x", w.take());
+  ASSERT_TRUE(cluster.run_until([&] { return cluster.node(0).stats().dispatched >= 1; }));
+
+  cluster.state(0).cbc->start(message);
+  ASSERT_TRUE(cluster.run_until([&] {
+    for (int id = 0; id < 3; ++id) {
+      if (!cluster.state(id).delivered) return false;
+    }
+    return true;
+  }));
+  cluster.stop();
+  EXPECT_EQ(cluster.state(0).cbc->suspected(), crypto::party_bit(3));
 }
 
 }  // namespace
