@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "crypto/batch.hpp"
 #include "crypto/sha256.hpp"
 
 namespace sintra::app {
@@ -203,13 +204,15 @@ void ServiceClient::on_message(const net::Message& message) {
 
     auto pending = pending_.find(request_id);
     if (pending == pending_.end()) return;
+    if (crypto::contains(pending->second.rejected, message.from)) return;
 
-    const Bytes statement = reply_statement(service_tag_, pending->second.envelope, reply);
+    // Admission only: the reply must carry exactly the sender's units.
+    // Shares are checked all at once, by the combine below.
     const auto& pk = deployment_.keys->public_keys().reply_sig;
-    for (const auto& share : shares) {
-      if (pk.scheme().unit_owner(share.unit) != message.from) return;
-      if (!pk.verify_share(statement, share)) return;
-    }
+    std::vector<int> units;
+    for (const auto& share : shares) units.push_back(share.unit);
+    std::sort(units.begin(), units.end());
+    if (units.empty() || units != pk.scheme().units_of(message.from)) return;
 
     auto digest = crypto::hash_domain("sintra/client/vote", reply);
     auto& [supporters, vote_shares, content] =
@@ -228,10 +231,24 @@ void ServiceClient::on_message(const net::Message& message) {
     // deployments like Example 2, where some incorruptible sets are still
     // unqualified for reconstruction.
     if (!pk.scheme().qualified(supporters)) return;
-    auto signature = pk.combine(statement, vote_shares);
-    SINTRA_INVARIANT(signature.has_value(), "client: combine failed on verified shares");
+    const Bytes statement = reply_statement(service_tag_, pending->second.envelope, reply);
+    auto combined = crypto::batch::combine_sig_optimistic(pk, statement, vote_shares, rng_);
+    // A replica that sent a bad share is fingered, its shares stripped and
+    // it is not heard again on this request; without a signature the client
+    // waits for the next reply.
+    crypto::PartySet culprits = 0;
+    for (std::size_t i : combined.bad) {
+      culprits |= crypto::party_bit(pk.scheme().unit_owner(vote_shares[i].unit));
+    }
+    pending->second.rejected |= culprits;
+    suspected_ |= culprits;
+    supporters &= ~culprits;
+    std::erase_if(vote_shares, [&](const crypto::SigShare& share) {
+      return crypto::contains(culprits, pk.scheme().unit_owner(share.unit));
+    });
+    if (!combined.value.has_value()) return;
 
-    Receipt receipt{std::move(content), std::move(*signature)};
+    Receipt receipt{std::move(content), std::move(*combined.value)};
     RequestEnvelope envelope = pending->second.envelope;
     if (pending->second.retry_timer != 0) network_.cancel_timer(pending->second.retry_timer);
     pending_.erase(pending);

@@ -98,6 +98,8 @@ class ServiceClient final : public net::Process {
   [[nodiscard]] std::uint64_t busy_rotations() const { return busy_rotations_; }
   /// Current relay replica (-1 = broadcast mode).
   [[nodiscard]] int gateway() const { return gateway_; }
+  /// Replicas caught sending a bad reply share (fingered by bisection).
+  [[nodiscard]] crypto::PartySet suspected() const { return suspected_; }
 
  private:
   struct Pending {
@@ -105,6 +107,7 @@ class ServiceClient final : public net::Process {
     Bytes wire_payload;  ///< what was sent (for resend)
     /// reply digest -> (supporters, shares, content)
     std::map<Bytes, std::tuple<crypto::PartySet, std::vector<crypto::SigShare>, Bytes>> votes;
+    crypto::PartySet rejected = 0;  ///< replicas caught with a bad share
     net::Network::TimerId retry_timer = 0;  ///< 0 = not armed
     int attempts = 0;                       ///< retries fired so far
     std::uint64_t next_delay = 0;           ///< backoff for the next retry
@@ -128,6 +131,7 @@ class ServiceClient final : public net::Process {
   std::uint64_t busy_replies_ = 0;
   std::uint64_t busy_rotations_ = 0;
   std::uint32_t config_epoch_ = 0;  ///< epoch of the committee we follow
+  crypto::PartySet suspected_ = 0;
   std::map<std::uint64_t, Pending> pending_;
 };
 

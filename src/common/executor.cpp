@@ -106,7 +106,12 @@ void ExecutorPool::wait_idle() {
 
 void ExecutorPool::stop() {
   stop_.store(true, std::memory_order_release);
-  for (auto& lane : lanes_) lane->cv.notify_all();
+  for (auto& lane : lanes_) {
+    // Pass through the lane's mutex so a lane between its predicate check
+    // and its wait cannot miss the notify (it would sleep forever).
+    { std::lock_guard<std::mutex> lock(lane->mutex); }
+    lane->cv.notify_all();
+  }
   for (auto& lane : lanes_) {
     if (lane->thread.joinable()) lane->thread.join();
   }

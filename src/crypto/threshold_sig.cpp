@@ -1,9 +1,42 @@
 #include "crypto/threshold_sig.hpp"
 
+#include <array>
+#include <mutex>
+
 #include "common/assert.hpp"
 #include "crypto/sha256.hpp"
 
 namespace sintra::crypto {
+
+/// Direct-mapped memo of hash_to_base, keyed by the statement's digest.
+/// Fixed size, so it needs no budget; the lock makes it safe for executor
+/// lanes that share one public key.
+class BaseMemo {
+ public:
+  std::optional<BigInt> find(const Digest& key) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const Slot& slot = slots_[index(key)];
+    if (!slot.used || slot.key != key) return std::nullopt;
+    return slot.base;
+  }
+
+  void store(const Digest& key, const BigInt& base) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    slots_[index(key)] = Slot{true, key, base};
+  }
+
+ private:
+  static constexpr std::size_t kSlots = 256;
+  struct Slot {
+    bool used = false;
+    Digest key{};
+    BigInt base;
+  };
+  static std::size_t index(const Digest& key) { return key[0]; }  // kSlots = 256
+
+  std::mutex mutex_;
+  std::array<Slot, kSlots> slots_;
+};
 
 namespace {
 constexpr int kChallengeBytes = 16;  // 128-bit Fiat–Shamir challenges
@@ -94,17 +127,21 @@ ThresholdSigPublicKey::ThresholdSigPublicKey(BigInt modulus, BigInt e, BigInt v,
     : modulus_(std::move(modulus)), e_(std::move(e)), v_(std::move(v)),
       verification_(std::move(verification)), scheme_(std::move(scheme)),
       mont_(std::make_shared<const Montgomery>(modulus_)),
+      base_memo_(std::make_shared<BaseMemo>()),
       share_bits_(share_bits == 0 ? modulus_.bit_length() : share_bits) {
   // Responses are bounded by r_max + c_max * d_max; see sign().
   response_bytes_ = (share_bits_ + 8 * kChallengeBytes + kSlackBits) / 8 + 2;
 }
 
 BigInt ThresholdSigPublicKey::hash_to_base(BytesView message) const {
+  const Digest key = hash_domain("sintra/tsig/base-memo", message);
+  if (auto x = base_memo_->find(key)) return std::move(*x);
   const std::size_t width = (modulus_.bit_length() + 7) / 8 + 16;
   BigInt x = BigInt::from_bytes(hash_expand("sintra/tsig/base", message, width)).mod(modulus_);
   // gcd(x, Nm) != 1 would factor the modulus; probability is negligible but
   // keep the oracle a total function.
   if (x.is_zero() || !BigInt::gcd(x, modulus_).is_one()) x = BigInt(2);
+  base_memo_->store(key, x);
   return x;
 }
 

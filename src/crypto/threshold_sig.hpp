@@ -41,6 +41,7 @@ struct RsaParams {
 };
 
 class ThresholdSigPublicKey;
+class BaseMemo;
 
 /// Signature share with validity proof, in commitment form (the verifier
 /// recomputes the Fiat–Shamir challenge from a1/a2; see nizk.hpp for why
@@ -107,7 +108,9 @@ class ThresholdSigPublicKey {
   /// Full-domain hash of the message into Z_Nm*.  This is RSA-domain FDH
   /// over the signature modulus — unrelated to Group::hash_to_element, and
   /// deliberately untouched by the group-backend choice: threshold RSA
-  /// stays in Z_Nm* BigInt arithmetic under every deployment.
+  /// stays in Z_Nm* BigInt arithmetic under every deployment.  Results are
+  /// memoized in a small fixed-size table shared by every copy of the key
+  /// (a statement is hashed again by each share check, combine and verify).
   [[nodiscard]] BigInt hash_to_base(BytesView message) const;
 
   [[nodiscard]] bool verify_share(BytesView message, const SigShare& share) const;
@@ -143,6 +146,7 @@ class ThresholdSigPublicKey {
   std::vector<BigInt> verification_;   ///< unit -> v^{d_unit}
   std::shared_ptr<const LinearScheme> scheme_;
   std::shared_ptr<const Montgomery> mont_;  ///< REDC context for Z_Nm
+  std::shared_ptr<BaseMemo> base_memo_;     ///< hash_to_base results, thread-safe
   std::size_t share_bits_;             ///< width bound for secret shares
   std::size_t response_bytes_;         ///< width bound for proof responses
 };

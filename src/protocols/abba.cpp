@@ -1,8 +1,5 @@
 #include "protocols/abba.hpp"
 
-#include "crypto/batch.hpp"
-#include "crypto/sha256.hpp"
-
 namespace sintra::protocols {
 
 using crypto::BigInt;
@@ -98,6 +95,64 @@ Abba::Round& Abba::round_state(int round) {
   return rounds_[round];
 }
 
+std::size_t Abba::deferred_coin_prevote_count() const {
+  std::size_t count = 0;
+  for (const auto& [round, state] : rounds_) count += state.deferred_coin_prevotes.size();
+  return count;
+}
+
+Abba::Votes& Abba::votes(Vote kind, int round, int value) {
+  const auto v = static_cast<std::size_t>(value);
+  switch (kind) {
+    case kVoteInput: return input_votes_.at(v);
+    case kVotePre: return round_state(round).prevotes.at(v);
+    case kVoteMain: return round_state(round).mainvotes.at(v);
+  }
+  throw ProtocolError("abba: bad vote kind");
+}
+
+const crypto::ThresholdSigPublicKey& Abba::vote_key(Vote kind) const {
+  return kind == kVoteInput ? host_.public_keys().reply_sig : host_.public_keys().cert_sig;
+}
+
+Bytes Abba::vote_statement(Vote kind, int round, int value) const {
+  static constexpr std::array<std::string_view, 3> kNames = {"input", "pre", "main"};
+  return statement(kNames.at(kind), round, static_cast<std::uint8_t>(value));
+}
+
+void Abba::combine_votes(Vote kind, int round, int value) {
+  Votes& set = votes(kind, round, value);
+  const auto& pk = vote_key(kind);
+  if (!pk.scheme().qualified(set.support())) return;
+  Writer header;
+  header.u8(kVoteVerdict);
+  header.u8(kind);
+  header.u32(static_cast<std::uint32_t>(round));
+  header.u8(static_cast<std::uint8_t>(value));
+  set.combine(host_, tag_, pk, vote_statement(kind, round, value), header.take());
+}
+
+void Abba::verify_votes(Vote kind, int round) {
+  std::vector<Votes::Pending> sets;
+  const int values = kind == kVoteMain ? 3 : 2;
+  for (int v = 0; v < values; ++v) {
+    sets.push_back({&votes(kind, round, v), vote_statement(kind, round, v)});
+  }
+  Writer header;
+  header.u8(kVoteBatchVerdict);
+  header.u8(kind);
+  header.u32(static_cast<std::uint32_t>(round));
+  Votes::verify_pending(host_, tag_, vote_key(kind), sets, header.take());
+}
+
+void Abba::check_cert(const std::optional<BigInt>& known, const crypto::ThresholdSigPublicKey& pk,
+                      const Bytes& stmt, const BigInt& sigma, const char* what) {
+  // RSA signatures are unique, so one equal to a certificate this party
+  // already verified needs no exponentiation.
+  if (known.has_value() && *known == sigma) return;
+  SINTRA_REQUIRE(pk.verify(stmt, sigma), what);
+}
+
 void Abba::start(bool input) {
   if (started_) {
     // At-least-once re-entry (crash-recovery replay re-runs application
@@ -128,23 +183,13 @@ void Abba::on_input(int from, Reader& reader) {
   SINTRA_REQUIRE(value <= 1, "abba: bad input value");
   auto shares = decode_shares(reader);
   reader.expect_done();
-  if (crypto::contains(input_voted_, from)) return;  // one input per party
-  const auto& reply_pk = host_.public_keys().reply_sig;
-  const Bytes stmt = statement("input", 0, value);
-  for (const SigShare& share : shares) {
-    SINTRA_REQUIRE(reply_pk.scheme().unit_owner(share.unit) == from,
-                   "abba: input share unit not owned by sender");
-  }
-  SINTRA_REQUIRE(crypto::batch::verify_sig_shares(reply_pk, stmt, shares, host_.rng()),
-                 "abba: invalid input share");
-  input_voted_ |= crypto::party_bit(from);
-  bump_progress();
-  input_support_[value] |= crypto::party_bit(from);
-  for (const SigShare& share : shares) input_shares_[value].push_back(share);
-  if (!anchor_[value].has_value() && reply_pk.scheme().qualified(input_support_[value])) {
-    auto sigma = reply_pk.combine(stmt, input_shares_[value]);
-    SINTRA_INVARIANT(sigma.has_value(), "abba: anchor combine failed");
-    anchor_[value] = std::move(*sigma);
+  if (crypto::contains(input_arrived_, from)) return;  // one input per party
+  const bool admitted =
+      input_votes_[value].admit(host_.public_keys().reply_sig, from, std::move(shares));
+  input_arrived_ |= crypto::party_bit(from);
+  if (admitted) {
+    bump_progress();
+    combine_votes(kVoteInput, 0, value);  // the anchor sigma_input(value)
   }
   try_first_prevote();
 }
@@ -237,6 +282,8 @@ void Abba::handle(int from, Reader& reader) {
     case kMainVote: return on_mainvote(from, reader);
     case kCoinShare: return on_coin_share(from, reader);
     case kCoinVerdict: return on_coin_verdict(from, reader);
+    case kVoteVerdict: return on_vote_verdict(from, reader);
+    case kVoteBatchVerdict: return on_vote_batch_verdict(from, reader);
     case kDecide: return on_decide(from, reader);
     default: throw ProtocolError("abba: unknown message type");
   }
@@ -250,6 +297,7 @@ void Abba::on_prevote(int from, Reader& reader) {
     // future evicted first) until we catch up.
     return park_deferred(kPreVote, round, from, reader);
   }
+  const std::size_t cost = reader.remaining() + 16;  // if buffered for the coin
   const std::uint8_t value_byte = reader.u8();
   SINTRA_REQUIRE(value_byte <= 1, "abba: bad pre-vote value");
   const bool value = value_byte == 1;
@@ -261,71 +309,80 @@ void Abba::on_prevote(int from, Reader& reader) {
   const auto& cert_pk = host_.public_keys().cert_sig;
   if (round == 1) {
     SINTRA_REQUIRE(justification == kJustAnchor, "abba: round-1 pre-vote must be anchored");
-    SINTRA_REQUIRE(
-        host_.public_keys().reply_sig.verify(statement("input", 0, value_byte), evidence),
-        "abba: bad input anchor");
+    check_cert(anchor_[value_byte], host_.public_keys().reply_sig,
+               statement("input", 0, value_byte), evidence, "abba: bad input anchor");
   } else if (justification == kJustHard) {
-    SINTRA_REQUIRE(cert_pk.verify(statement("pre", round - 1, value_byte), evidence),
-                   "abba: bad hard justification");
+    auto& known = round_state(round - 1).sigma_pre[value_byte];
+    check_cert(known, cert_pk, statement("pre", round - 1, value_byte), evidence,
+               "abba: bad hard justification");
+    if (!known.has_value()) known = evidence;
   } else if (justification == kJustCoin) {
-    SINTRA_REQUIRE(cert_pk.verify(statement("main", round - 1, kAbstain), evidence),
-                   "abba: bad abstain certificate");
     Round& prev = round_state(round - 1);
+    check_cert(prev.sigma_main_abstain, cert_pk, statement("main", round - 1, kAbstain),
+               evidence, "abba: bad abstain certificate");
+    if (!prev.sigma_main_abstain.has_value()) prev.sigma_main_abstain = evidence;
     if (!prev.coin.has_value()) {
-      prev.deferred_coin_prevotes.emplace_back(from, value, std::move(shares));
-      return;
+      return defer_coin_prevote(prev, from, value, std::move(shares), cost);
     }
     SINTRA_REQUIRE(*prev.coin == value, "abba: coin pre-vote contradicts coin");
   } else {
     throw ProtocolError("abba: bad justification kind");
   }
-  accept_prevote(round, from, value, shares);
+  accept_prevote(round, from, value, std::move(shares));
 }
 
-void Abba::accept_prevote(int round, int from, bool value,
-                          const std::vector<SigShare>& shares) {
-  Round& state = round_state(round);
-  if (crypto::contains(state.prevoted, from)) return;  // one pre-vote per party
-  const auto& cert_pk = host_.public_keys().cert_sig;
-  const Bytes stmt = statement("pre", round, value ? 1 : 0);
-  for (const SigShare& share : shares) {
-    SINTRA_REQUIRE(cert_pk.scheme().unit_owner(share.unit) == from,
-                   "abba: pre-vote share unit not owned by sender");
-  }
-  SINTRA_REQUIRE(crypto::batch::verify_sig_shares(cert_pk, stmt, shares, host_.rng()),
-                 "abba: invalid pre-vote share");
-  state.prevoted |= crypto::party_bit(from);
-  bump_progress();
-  const int v = value ? 1 : 0;
-  state.prevote_support[v] |= crypto::party_bit(from);
-  for (const SigShare& share : shares) state.prevote_shares[v].push_back(share);
+void Abba::defer_coin_prevote(Round& prev, int from, bool value, std::vector<SigShare> shares,
+                              std::size_t cost) {
+  // First per sender, and budget-charged: a replayed message must not grow
+  // the buffer (the charge is released on adopt_coin, or by decide()).
+  if (crypto::contains(prev.deferred_coin_from, from)) return;
+  if (!host_.budget().try_charge(from, tag_, cost)) return;
+  prev.deferred_coin_from |= crypto::party_bit(from);
+  prev.deferred_coin_prevotes.push_back({from, value, std::move(shares), cost});
+}
 
-  // Combine sigma_pre(round, v) as soon as a full quorum supports v.
-  if (!state.sigma_pre[v].has_value() &&
-      cert_pk.scheme().qualified(state.prevote_support[v])) {
-    auto sigma = cert_pk.combine(stmt, state.prevote_shares[v]);
-    SINTRA_INVARIANT(sigma.has_value(), "abba: sigma_pre combine failed");
-    state.sigma_pre[v] = std::move(*sigma);
-  }
+void Abba::accept_prevote(int round, int from, bool value, std::vector<SigShare> shares) {
+  Round& state = round_state(round);
+  if (crypto::contains(state.prevote_arrived, from)) return;  // one pre-vote per party
+  const bool admitted =
+      state.prevotes[value ? 1 : 0].admit(host_.public_keys().cert_sig, from, std::move(shares));
+  state.prevote_arrived |= crypto::party_bit(from);
+  if (!admitted) return;
+  bump_progress();
   maybe_mainvote(round);
 }
 
 void Abba::maybe_mainvote(int round) {
   Round& state = round_state(round);
-  if (state.sent_mainvote || !quorum().is_quorum(state.prevoted)) return;
-  state.sent_mainvote = true;
+  if (state.sent_mainvote) return;
+  const auto& prevotes = state.prevotes;
+  const crypto::PartySet vouched = prevotes[0].verified() | prevotes[1].verified();
+  if (!quorum().is_quorum(vouched)) {
+    // Vouch for the arrived votes: combine sigma_pre(round, v) once v's set
+    // qualifies, or batch-verify a quorum split across both values.
+    bool qualified = false;
+    for (int v = 0; v < 2; ++v) {
+      if (host_.public_keys().cert_sig.scheme().qualified(prevotes[v].support())) {
+        qualified = true;
+        combine_votes(kVotePre, round, v);
+      }
+    }
+    if (!qualified && quorum().is_quorum(prevotes[0].support() | prevotes[1].support())) {
+      verify_votes(kVotePre, round);
+    }
+    return;
+  }
 
-  std::uint8_t vote = kAbstain;
+  std::uint8_t vote = kAbstain;  // conflicting pre-votes seen
   std::optional<BigInt> evidence;
-  if (state.prevote_support[0] != 0 && state.prevote_support[1] != 0) {
-    vote = kAbstain;  // conflicting pre-votes seen
-  } else {
-    const int v = state.prevote_support[1] != 0 ? 1 : 0;
-    SINTRA_INVARIANT(state.sigma_pre[v].has_value(),
-                     "abba: unanimous quorum but no combined certificate");
+  if (prevotes[0].verified() == 0 || prevotes[1].verified() == 0) {
+    const int v = prevotes[1].verified() != 0 ? 1 : 0;
+    // A unanimous quorum: main-vote v once sigma_pre(round, v) is in hand.
+    if (!state.sigma_pre[v].has_value()) return combine_votes(kVotePre, round, v);
     vote = static_cast<std::uint8_t>(v);
     evidence = state.sigma_pre[v];
   }
+  state.sent_mainvote = true;
 
   Writer w;
   w.u8(kMainVote);
@@ -352,59 +409,58 @@ void Abba::on_mainvote(int from, Reader& reader) {
 
   if (vote != kAbstain) {
     BigInt sigma = BigInt::decode(reader);
-    SINTRA_REQUIRE(cert_pk.verify(statement("pre", round, vote), sigma),
-                   "abba: main-vote without valid pre-vote certificate");
+    check_cert(state.sigma_pre[vote], cert_pk, statement("pre", round, vote), sigma,
+               "abba: main-vote without valid pre-vote certificate");
     if (!state.sigma_pre[vote].has_value()) state.sigma_pre[vote] = std::move(sigma);
   }
   auto shares = decode_shares(reader);
   reader.expect_done();
-  if (crypto::contains(state.mainvoted, from)) return;
-  const Bytes stmt = statement("main", round, vote);
-  for (const SigShare& share : shares) {
-    SINTRA_REQUIRE(cert_pk.scheme().unit_owner(share.unit) == from,
-                   "abba: main-vote share unit not owned by sender");
-  }
-  SINTRA_REQUIRE(crypto::batch::verify_sig_shares(cert_pk, stmt, shares, host_.rng()),
-                 "abba: invalid main-vote share");
-  state.mainvoted |= crypto::party_bit(from);
+  if (crypto::contains(state.mainvote_arrived, from)) return;
+  const bool admitted = state.mainvotes[vote].admit(cert_pk, from, std::move(shares));
+  state.mainvote_arrived |= crypto::party_bit(from);
+  if (!admitted) return;
   bump_progress();
-  state.mainvote_support[vote] |= crypto::party_bit(from);
-  for (const SigShare& share : shares) state.mainvote_shares[vote].push_back(share);
-
-  // Decision check runs on *every* arrival (not only at round close): the
-  // first quorum of main-votes may mix corrupted abstains with honest
-  // value votes, and the unanimous certificate only completes later.
-  if (vote != kAbstain && cert_pk.scheme().qualified(state.mainvote_support[vote])) {
-    auto sigma = cert_pk.combine(stmt, state.mainvote_shares[vote]);
-    SINTRA_INVARIANT(sigma.has_value(), "abba: sigma_main combine failed");
-    decide(vote == 1, round, *sigma);
-    return;
-  }
   maybe_close_round(round);
 }
 
 void Abba::maybe_close_round(int round) {
   Round& state = round_state(round);
-  if (state.round_closed || !quorum().is_quorum(state.mainvoted)) return;
-  state.round_closed = true;
-  release_coin(round);
+  const auto& mainvotes = state.mainvotes;
+  // Decision check on *every* arrival (not only at round close): the first
+  // quorum of main-votes may mix corrupted abstains with honest value
+  // votes, and the unanimous certificate only completes later.
+  for (int v = 0; v < 2; ++v) combine_votes(kVoteMain, round, v);
+  if (state.round_closed) return;
+  crypto::PartySet vouched = 0;
+  crypto::PartySet arrived = 0;
+  bool qualified = false;
+  for (const Votes& set : mainvotes) {
+    vouched |= set.verified();
+    arrived |= set.support();
+    qualified = qualified || host_.public_keys().cert_sig.scheme().qualified(set.support());
+  }
+  if (!quorum().is_quorum(vouched)) {
+    // As for pre-votes: a qualified set combines (a value decides, abstain
+    // yields the abstain certificate); a split quorum is batch-verified.
+    combine_votes(kVoteMain, round, kAbstain);
+    if (!qualified && quorum().is_quorum(arrived)) verify_votes(kVoteMain, round);
+    return;
+  }
 
-  const auto& cert_pk = host_.public_keys().cert_sig;
-  // Some main-vote carried a value: adopt it with hard justification.
+  // Some vouched main-vote carried a value: adopt it with hard justification.
   for (int v = 0; v < 2; ++v) {
-    if (state.mainvote_support[v] != 0) {
+    if (mainvotes[v].verified() != 0) {
+      state.round_closed = true;
+      release_coin(round);
       SINTRA_INVARIANT(state.sigma_pre[v].has_value(), "abba: value main-vote lost its cert");
       advance(round + 1, v == 1, kJustHard, *state.sigma_pre[v]);
       return;
     }
   }
-  // All abstained: combine the abstain certificate and follow the coin.
-  if (!state.sigma_main_abstain.has_value()) {
-    auto sigma = cert_pk.combine(statement("main", round, kAbstain),
-                                 state.mainvote_shares[kAbstain]);
-    SINTRA_INVARIANT(sigma.has_value(), "abba: abstain certificate combine failed");
-    state.sigma_main_abstain = std::move(*sigma);
-  }
+  // All abstained: follow the coin with the abstain certificate.
+  if (!state.sigma_main_abstain.has_value()) return combine_votes(kVoteMain, round, kAbstain);
+  state.round_closed = true;
+  release_coin(round);
   if (state.coin.has_value()) {
     advance(round + 1, *state.coin, kJustCoin, *state.sigma_main_abstain);
   } else {
@@ -464,18 +520,61 @@ void Abba::on_coin_verdict(int from, Reader& reader) {
   adopt_coin(round, *coin);
 }
 
+void Abba::on_vote_verdict(int from, Reader& reader) {
+  const auto kind = static_cast<Vote>(reader.u8());
+  const int round = static_cast<int>(reader.u32());
+  const int value = reader.u8();
+  SINTRA_REQUIRE(kind <= kVoteMain && value <= (kind == kVoteMain ? kAbstain : 1),
+                 "abba: bad vote verdict");
+  if (kind != kVoteInput && !rounds_.contains(round)) return;  // no combine started there
+  auto cert = votes(kind, round, value).on_verdict(host_, from, vote_key(kind), reader, suspected_);
+  switch (kind) {
+    case kVoteInput:
+      if (!cert.has_value()) return combine_votes(kVoteInput, 0, value);  // re-arm
+      anchor_[value] = std::move(*cert);
+      return try_first_prevote();
+    case kVotePre: {
+      auto& sigma_pre = round_state(round).sigma_pre[value];
+      if (cert.has_value() && !sigma_pre.has_value()) sigma_pre = std::move(*cert);
+      return maybe_mainvote(round);
+    }
+    case kVoteMain:
+      if (cert.has_value() && value != kAbstain) return decide(value == 1, round, *cert);
+      if (cert.has_value()) round_state(round).sigma_main_abstain = std::move(*cert);
+      return maybe_close_round(round);
+  }
+}
+
+void Abba::on_vote_batch_verdict(int from, Reader& reader) {
+  const auto kind = static_cast<Vote>(reader.u8());
+  const int round = static_cast<int>(reader.u32());
+  SINTRA_REQUIRE(kind == kVotePre || kind == kVoteMain, "abba: bad vote verdict");
+  if (!rounds_.contains(round)) return;
+  std::vector<Votes*> sets;
+  for (int v = 0; v < (kind == kVoteMain ? 3 : 2); ++v) sets.push_back(&votes(kind, round, v));
+  Votes::on_verified(host_, from, vote_key(kind), reader, sets, suspected_);
+  return kind == kVotePre ? maybe_mainvote(round) : maybe_close_round(round);
+}
+
 void Abba::adopt_coin(int round, BytesView value) {
   Round& state = round_state(round);
   state.coin = crypto::CoinPublicKey::coin_bit(value);
   host_.trace("abba", tag_ + " coin r" + std::to_string(round) + " = " +
                           std::to_string(static_cast<int>(*state.coin)));
 
-  // Validate pre-votes that were waiting on this coin.
+  // Validate pre-votes that were waiting on this coin; each leaves the
+  // buffer with its budget charge.
   auto deferred = std::move(state.deferred_coin_prevotes);
   state.deferred_coin_prevotes.clear();
-  for (auto& [from, value_bit, shares] : deferred) {
-    if (value_bit != *state.coin) continue;  // contradiction: drop
-    if (!decided_) accept_prevote(round + 1, from, value_bit, shares);
+  for (auto& prevote : deferred) {
+    if (decided_) break;  // decide() already released every charge
+    host_.budget().release(prevote.from, tag_, prevote.cost);
+    if (prevote.value != *state.coin) continue;  // contradiction: drop
+    try {
+      accept_prevote(round + 1, prevote.from, prevote.value, std::move(prevote.shares));
+    } catch (const ProtocolError&) {
+      // A malformed share set fails admission; the other pre-votes stand.
+    }
   }
   if (state.waiting_for_coin && !decided_) {
     state.waiting_for_coin = false;
@@ -547,10 +646,7 @@ void Abba::decide(bool value, int round, const BigInt& sigma_main) {
   // and maybe_combine_coin's chain cannot reach decide()).
   rounds_.clear();
   deferred_.clear();
-  for (auto& shares : input_shares_) {
-    shares.clear();
-    shares.shrink_to_fit();
-  }
+  for (Votes& set : input_votes_) set.clear();
   host_.budget().release_instance(tag_);
   if (watchdog_) watchdog_->disarm();
   if (compaction_) {

@@ -48,6 +48,16 @@
 // form.  Why termination is expected-constant: each round, either all
 // honest parties adopt the coin (unanimous next round), or a unique hard
 // value exists and the unpredictable coin matches it with probability 1/2.
+//
+// Vote shares are never checked one at a time.  Every vote set (input[v],
+// pre-vote[r][v], main-vote[r][v or abstain]) is a ShareCollector: on
+// arrival a vote is decoded, deduplicated per sender and admitted
+// structurally, and only its justification certificate is verified.  A
+// vote enters a tally only once its share is vouched for (the collector's
+// verified()): by an optimistic combine that used it, once the value's set
+// qualifies, or by one batch verification of all pending votes when a
+// quorum has arrived but is split across values.  A bad share is fingered
+// by bisection and its vote dropped as if it had never arrived.
 #pragma once
 
 #include <array>
@@ -94,13 +104,15 @@ class Abba final : public ProtocolInstance {
   [[nodiscard]] bool decided() const { return decided_; }
   [[nodiscard]] std::optional<bool> decision() const { return decision_; }
 
-  /// Parties caught sending well-formed-but-invalid coin shares (fingered
-  /// by the batch verifier's bisection).
+  /// Parties caught sending well-formed-but-invalid coin or vote shares
+  /// (fingered by the batch verifier's bisection).
   [[nodiscard]] crypto::PartySet suspected() const { return suspected_; }
 
   /// Introspection for the memory-budget tests.
   [[nodiscard]] std::size_t live_rounds() const { return rounds_.size(); }
   [[nodiscard]] std::size_t deferred_count() const { return deferred_.size(); }
+  /// COIN-justified pre-votes buffered until their round's coin is known.
+  [[nodiscard]] std::size_t deferred_coin_prevote_count() const;
 
  private:
   enum MsgType : std::uint8_t {
@@ -109,22 +121,35 @@ class Abba final : public ProtocolInstance {
     kMainVote = 1,
     kCoinShare = 2,
     kDecide = 3,
-    kCoinVerdict = 5,  ///< self-message: coin ShareCollector verdict
+    kCoinVerdict = 5,       ///< self-message: coin ShareCollector verdict
+    kVoteVerdict = 6,       ///< self-message: one vote set's combine verdict
+    kVoteBatchVerdict = 7,  ///< self-message: pending votes' batch-verify verdict
   };
   enum Justification : std::uint8_t { kJustAnchor = 0, kJustHard = 1, kJustCoin = 2 };
+  /// Which vote a collector holds (also the statement it signs).
+  enum Vote : std::uint8_t { kVoteInput = 0, kVotePre = 1, kVoteMain = 2 };
   static constexpr std::uint8_t kAbstain = 2;
 
+  using Votes = ShareCollector<crypto::SigShare>;
+
+  /// A COIN-justified pre-vote for round r+1 awaiting round r's coin; its
+  /// evidence is already verified and `cost` bytes are budget-charged.
+  struct CoinPrevote {
+    int from = 0;
+    bool value = false;
+    std::vector<crypto::SigShare> shares;
+    std::size_t cost = 0;
+  };
+
   struct Round {
-    // Pre-votes.
-    crypto::PartySet prevoted = 0;
-    std::array<crypto::PartySet, 2> prevote_support{};
-    std::array<std::vector<crypto::SigShare>, 2> prevote_shares;
-    std::array<std::optional<crypto::BigInt>, 2> sigma_pre;  ///< combined cert per value
+    // Pre-votes: tallied once vouched for (prevotes[v].verified()).
+    crypto::PartySet prevote_arrived = 0;  ///< senders seen, before any crypto
+    std::array<Votes, 2> prevotes;
+    std::array<std::optional<crypto::BigInt>, 2> sigma_pre;  ///< verified cert per value
     bool sent_prevote = false;
-    // Main-votes.
-    crypto::PartySet mainvoted = 0;
-    std::array<crypto::PartySet, 3> mainvote_support{};
-    std::array<std::vector<crypto::SigShare>, 3> mainvote_shares;
+    // Main-votes, per value and abstain.
+    crypto::PartySet mainvote_arrived = 0;
+    std::array<Votes, 3> mainvotes;
     std::optional<crypto::BigInt> sigma_main_abstain;
     bool sent_mainvote = false;
     bool round_closed = false;  ///< main-vote quorum processed
@@ -134,9 +159,9 @@ class Abba final : public ProtocolInstance {
     bool coin_released = false;
     ShareCollector<crypto::CoinShare> coin_shares;
     std::optional<bool> coin;
-    /// COIN-justified pre-votes for round r+1 awaiting this round's coin:
-    /// (voter, value, cert-signature shares); evidence already verified.
-    std::vector<std::tuple<int, bool, std::vector<crypto::SigShare>>> deferred_coin_prevotes;
+    /// COIN-justified pre-votes for round r+1, first per sender.
+    std::vector<CoinPrevote> deferred_coin_prevotes;
+    crypto::PartySet deferred_coin_from = 0;
   };
 
   void handle(int from, Reader& reader) override;
@@ -151,10 +176,21 @@ class Abba final : public ProtocolInstance {
   void on_mainvote(int from, Reader& reader);
   void on_coin_share(int from, Reader& reader);
   void on_coin_verdict(int from, Reader& reader);
+  void on_vote_verdict(int from, Reader& reader);
+  void on_vote_batch_verdict(int from, Reader& reader);
   void on_decide(int from, Reader& reader);
 
-  void accept_prevote(int round, int from, bool value,
-                      const std::vector<crypto::SigShare>& shares);
+  void accept_prevote(int round, int from, bool value, std::vector<crypto::SigShare> shares);
+  void defer_coin_prevote(Round& prev, int from, bool value,
+                          std::vector<crypto::SigShare> shares, std::size_t cost);
+  [[nodiscard]] Votes& votes(Vote kind, int round, int value);
+  [[nodiscard]] const crypto::ThresholdSigPublicKey& vote_key(Vote kind) const;
+  [[nodiscard]] Bytes vote_statement(Vote kind, int round, int value) const;
+  void combine_votes(Vote kind, int round, int value);
+  void verify_votes(Vote kind, int round);
+  static void check_cert(const std::optional<crypto::BigInt>& known,
+                         const crypto::ThresholdSigPublicKey& pk, const Bytes& stmt,
+                         const crypto::BigInt& sigma, const char* what);
   void maybe_mainvote(int round);
   void maybe_close_round(int round);
   void release_coin(int round);
@@ -178,9 +214,8 @@ class Abba final : public ProtocolInstance {
   int decide_round_ = 0;
   std::optional<bool> my_input_;
   // Input anchoring.
-  crypto::PartySet input_voted_ = 0;
-  std::array<crypto::PartySet, 2> input_support_{};
-  std::array<std::vector<crypto::SigShare>, 2> input_shares_;
+  crypto::PartySet input_arrived_ = 0;
+  std::array<Votes, 2> input_votes_;
   std::array<std::optional<crypto::BigInt>, 2> anchor_;
   int current_round_ = 1;
   std::map<int, Round> rounds_;

@@ -171,14 +171,16 @@ void AtomicBroadcast::handle(int from, Reader& reader) {
 
   // Verify before any state is allocated for the round — unverifiable
   // traffic must not create map entries.  The sender's shares all cover
-  // one statement, so the whole vector goes through one batched check.
+  // one statement, so the whole vector goes through one batched check; our
+  // own batch carries our own signature and needs none.
   const auto& cert_pk = host_.public_keys().cert_sig;
-  const Bytes stmt = batch_statement(round, from, payload_block);
   for (const SigShare& share : shares) {
     SINTRA_REQUIRE(cert_pk.scheme().unit_owner(share.unit) == from,
                    "abc: batch share unit not owned by sender");
   }
-  SINTRA_REQUIRE(crypto::batch::verify_sig_shares(cert_pk, stmt, shares, host_.rng()),
+  SINTRA_REQUIRE(from == me() || crypto::batch::verify_sig_shares(
+                                     cert_pk, batch_statement(round, from, payload_block),
+                                     shares, host_.rng()),
                  "abc: invalid batch signature");
 
   BatchEntry entry;
@@ -269,7 +271,15 @@ bool AtomicBroadcast::validate_batch_set(int round, BytesView batch_set) const {
     crypto::PartySet senders = 0;
     // One multi-statement batch over the whole proposal: each sender's
     // shares group under that sender's batch statement, and all groups
-    // collapse into a single pair of multi-exponentiations.
+    // collapse into a single pair of multi-exponentiations.  An entry
+    // byte-identical to one this party buffered for the round was verified
+    // on arrival (or is its own) and skips the batch.
+    const auto buffered = rounds_.find(round);
+    const auto verified = [&](const Bytes& raw) {
+      return buffered != rounds_.end() &&
+             std::find(buffered->second.batches.begin(), buffered->second.batches.end(), raw) !=
+                 buffered->second.batches.end();
+    };
     std::vector<crypto::batch::SigShareGroup> groups;
     groups.reserve(raw_entries.size());
     for (const Bytes& raw : raw_entries) {
@@ -283,6 +293,7 @@ bool AtomicBroadcast::validate_batch_set(int round, BytesView batch_set) const {
       }
       if (entry.shares.empty()) return false;
       senders |= crypto::party_bit(entry.party);
+      if (verified(raw)) continue;
       groups.push_back({batch_statement(round, entry.party, entry.payload_block()),
                         std::move(entry.shares)});
     }

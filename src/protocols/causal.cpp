@@ -43,7 +43,6 @@ void SecureCausalBroadcast::on_ordered(int origin, Bytes ciphertext_bytes) {
   if (slot.sequenced) return;  // ciphertext ordered twice (duplicate submission)
   slot.sequenced = true;
   slot.sequence = next_sequence_++;
-  by_sequence_[slot.sequence] = id;
   if (!slot.have_ciphertext) {
     slot.ciphertext = std::move(ciphertext);
     slot.have_ciphertext = true;
@@ -105,7 +104,11 @@ void SecureCausalBroadcast::add_share(Slot& slot, int from,
   auto plaintext = pk.combine(slot.ciphertext, slot.shares);
   SINTRA_INVARIANT(plaintext.has_value(), "sc-abc: combine failed on qualified set");
   slot.done = true;
-  ready_[slot.sequence] = {std::move(*plaintext), slot.ciphertext.label};
+  ready_[slot.sequence] = {std::move(*plaintext), std::move(slot.ciphertext.label)};
+  // A done slot only answers "already ordered / decrypted": free its
+  // ciphertext and shares, which otherwise pile up with every request.
+  slot.ciphertext = {};
+  std::vector<crypto::Tdh2DecShare>().swap(slot.shares);
   maybe_flush();
 }
 

@@ -61,7 +61,6 @@ class SecureCausalBroadcast final : public ProtocolInstance {
   DeliverFn deliver_;
   AtomicBroadcast abc_;
   std::map<Bytes, Slot> slots_;                  ///< ciphertext id -> state
-  std::map<std::uint64_t, Bytes> by_sequence_;   ///< sequence -> ciphertext id
   std::map<std::uint64_t, std::pair<Bytes, Bytes>> ready_;  ///< seq -> (plaintext, label)
   std::uint64_t next_sequence_ = 0;
   std::uint64_t next_deliver_ = 0;

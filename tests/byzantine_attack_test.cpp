@@ -424,6 +424,171 @@ TEST(ShareCollectorAttackTest, AbbaCoinRejectsEmptyShareSet) {
   });
 }
 
+// ---- ABBA votes on the share collector -----------------------------------------
+//
+// Input, pre-vote and main-vote shares are no longer checked on arrival:
+// a qualified set is combined optimistically and a quorum split across
+// values is batch-verified.  Party 3 runs honestly, but a copy of one of
+// its votes with a bad share is injected first under its identity, so the
+// honest copy is deduplicated away at every peer.
+
+/// Abba::statement(kind, round, value) for the instance "ba/0".
+Bytes abba_statement(std::string_view kind, int round, std::uint8_t value) {
+  Writer w;
+  w.str("sintra/abba");
+  w.str("ba/0");
+  w.str(kind);
+  w.u32(static_cast<std::uint32_t>(round));
+  w.u8(value);
+  return w.take();
+}
+
+/// A certificate on `stmt` combined from the key shares of `signers`.
+BigInt certify(const crypto::ThresholdSigPublicKey& pk, const adversary::Deployment& deployment,
+               bool cert_key, const Bytes& stmt, std::initializer_list<int> signers) {
+  Rng rng(4242);
+  std::vector<SigShare> shares;
+  for (int signer : signers) {
+    const auto& keys = deployment.keys->share(signer);
+    for (auto& s : (cert_key ? keys.cert_sig : keys.reply_sig).sign(pk, stmt, rng)) {
+      shares.push_back(std::move(s));
+    }
+  }
+  auto sigma = pk.combine(stmt, shares);
+  EXPECT_TRUE(sigma.has_value());
+  return sigma.value_or(BigInt(1));
+}
+
+/// Party 3's vote message of `type` (Abba::kPreVote = 0, kMainVote = 1):
+/// `head` holds the fields between the round and the shares; the shares
+/// sign `stmt` and are tampered, or left out, as asked.
+Bytes party3_vote(const adversary::Deployment& deployment, std::uint8_t type, int round,
+                  const Bytes& head, const Bytes& stmt, bool tamper, bool empty) {
+  Rng rng(777);
+  const auto& pk = deployment.keys->public_keys().cert_sig;
+  auto shares = deployment.keys->share(3).cert_sig.sign(pk, stmt, rng);
+  if (tamper) {
+    // A wrong share value: the combine fails and so does the proof.
+    for (auto& s : shares) s.value = BigInt::mul_mod(s.value, BigInt(2), pk.modulus());
+  }
+  if (empty) shares.clear();
+  Writer w;
+  w.u8(type);
+  w.u32(static_cast<std::uint32_t>(round));
+  w.raw(head);
+  w.vec(shares, [](Writer& wr, const SigShare& s) { s.encode(wr); });
+  return w.take();
+}
+
+/// A round-1 pre-vote for `value` from party 3, anchored by the input
+/// shares of parties 2 and 3 (who both propose `value` where it is used).
+Bytes party3_prevote(const adversary::Deployment& deployment, std::uint8_t value, bool tamper,
+                     bool empty) {
+  const auto& reply_pk = deployment.keys->public_keys().reply_sig;
+  Writer head;
+  head.u8(value);
+  head.u8(0);  // Abba::kJustAnchor
+  certify(reply_pk, deployment, false, abba_statement("input", 0, value), {2, 3}).encode(head);
+  return party3_vote(deployment, 0, 1, head.data(), abba_statement("pre", 1, value), tamper,
+                     empty);
+}
+
+/// Injects `payloads` from party 3 to parties 0-2, starts a 4-party ABBA
+/// on `inputs` and runs it to a decision.  Every party must decide the
+/// same value and no honest party may be suspected; returns the union of
+/// the parties' suspects.
+crypto::PartySet run_vote_attack(const adversary::Deployment& deployment,
+                                 const std::vector<Bytes>& payloads, std::vector<int> inputs) {
+  net::FifoScheduler sched;
+  auto cluster = abba_cluster(deployment, sched, 11);
+  cluster.start();
+  for (const Bytes& payload : payloads) inject(cluster.simulator(), 3, {0, 1, 2}, "ba/0", payload);
+  cluster.for_each([&](int id, AbbaState& s) {
+    s.abba->start(inputs[static_cast<std::size_t>(id)] == 1);
+  });
+  EXPECT_TRUE(cluster.run_until_all(
+      [](AbbaState& s) { return s.decision.has_value(); }, 3000000));
+  std::optional<bool> common;
+  crypto::PartySet fingered = 0;
+  cluster.for_each([&](int id, AbbaState& s) {
+    if (!s.decision.has_value()) return;
+    if (!common.has_value()) common = s.decision;
+    EXPECT_EQ(*s.decision, *common) << "agreement violated, party " << id;
+    EXPECT_EQ(s.abba->suspected() & ~crypto::party_bit(3), 0u) << "party " << id;
+    fingered |= s.abba->suspected();
+  });
+  return fingered;
+}
+
+TEST(AbbaVoteAttackTest, TamperedPreVoteShareFingered) {
+  // Every party proposes 1, so party 3's bad pre-vote sits in the first
+  // qualified set for 1 everywhere: its combine fails and bisects.
+  Rng rng(11);
+  auto deployment = adversary::Deployment::threshold(4, 1, rng);
+  EXPECT_EQ(run_vote_attack(deployment, {party3_prevote(deployment, 1, true, false)},
+                            {1, 1, 1, 1}),
+            crypto::party_bit(3));
+}
+
+TEST(AbbaVoteAttackTest, TamperedMainVoteShareFingered) {
+  // A round-1 abstain main-vote with a bad share among honest 1-votes: the
+  // first quorum is split, so the batch verification fingers it.
+  Rng rng(11);
+  auto deployment = adversary::Deployment::threshold(4, 1, rng);
+  Bytes mainvote = party3_vote(deployment, 1, 1, Bytes{2} /* Abba::kAbstain */,
+                               abba_statement("main", 1, 2), true, false);
+  EXPECT_EQ(run_vote_attack(deployment, {mainvote}, {1, 1, 1, 1}), crypto::party_bit(3));
+}
+
+TEST(AbbaVoteAttackTest, EmptyVoteShareRejected) {
+  // Votes carrying no shares fail admission (ProtocolError) and count for
+  // nothing; with no bad share ever combined, nobody is fingered, and
+  // party 3's honest votes are still heard.
+  Rng rng(11);
+  auto deployment = adversary::Deployment::threshold(4, 1, rng);
+  Bytes prevote = party3_prevote(deployment, 1, false, true);
+  Bytes mainvote = party3_vote(deployment, 1, 1, Bytes{2}, abba_statement("main", 1, 2), false,
+                               true);
+  EXPECT_EQ(run_vote_attack(deployment, {prevote, mainvote}, {1, 1, 1, 1}), 0u);
+}
+
+TEST(AbbaVoteAttackTest, SplitQuorumBatchVerifyFingersCulprit) {
+  // Parties 2 and 3 propose 0, so 0 is anchored; party 3's round-1 pre-vote
+  // for 0 carries a bad share.  At most parties 2 and 3 pre-vote 0, so no
+  // value's set qualifies on its own: the first quorum at every peer is
+  // split, and only the batch verification of the pending votes can have
+  // fingered party 3.
+  Rng rng(11);
+  auto deployment = adversary::Deployment::threshold(4, 1, rng);
+  EXPECT_EQ(run_vote_attack(deployment, {party3_prevote(deployment, 0, true, false)},
+                            {1, 1, 0, 0}),
+            crypto::party_bit(3));
+}
+
+TEST(AbbaVoteAttackTest, ReplayedCoinPrevoteBufferedOnce) {
+  // A COIN-justified round-2 pre-vote (real abstain certificate for round
+  // 1) waits for the round-1 coin.  Replayed 1000 times before that coin
+  // exists, it must occupy one buffer entry and one budget charge.
+  Rng rng(11);
+  auto deployment = adversary::Deployment::threshold(4, 1, rng);
+  const auto& cert_pk = deployment.keys->public_keys().cert_sig;
+  Writer head;
+  head.u8(1);  // value
+  head.u8(2);  // Abba::kJustCoin
+  certify(cert_pk, deployment, true, abba_statement("main", 1, 2), {0, 1, 2}).encode(head);
+  const Bytes prevote = party3_vote(deployment, 0, 2, head.data(), abba_statement("pre", 2, 1),
+                                    false, false);
+  net::FifoScheduler sched;
+  auto cluster = abba_cluster(deployment, sched, 11);
+  cluster.start();
+  for (int i = 0; i < 1000; ++i) inject(cluster.simulator(), 3, {0}, "ba/0", prevote);
+  cluster.simulator().run_until([] { return false; }, 5000);  // nobody starts: no coin
+  EXPECT_EQ(cluster.protocol(0)->abba->deferred_coin_prevote_count(), 1u);
+  const std::size_t charged = cluster.party(0)->budget().instance_total("ba/0");
+  EXPECT_GT(charged, 0u);
+  EXPECT_LE(charged, prevote.size() + 16);
+}
+
 struct VbaState {
   std::unique_ptr<protocols::Vba> vba;
   std::optional<Bytes> decision;
@@ -714,6 +879,87 @@ TEST(ClientAttackTest, ValidlySignedLieStillOutvoted) {
   EXPECT_EQ(app::CaResponse::decode(replies.at(id).reply).status,
             app::CaResponse::Status::kOk);
   EXPECT_TRUE(client->verify_receipt(id, body, replies.at(id)));
+}
+
+/// The client's endpoint, with replica 3 turned bad on the way in: every
+/// reply is held back until replica 3's has arrived, whose signature shares
+/// are then tampered and handed on first, followed by the held replies.
+class TamperedReplyProxy final : public net::Process {
+ public:
+  TamperedReplyProxy(std::unique_ptr<app::ServiceClient> client, crypto::BigInt modulus)
+      : client_(std::move(client)), modulus_(std::move(modulus)) {}
+
+  void on_start() override { client_->on_start(); }
+
+  void on_message(const net::Message& message) override {
+    if (message.tag != "svc/reply" || released_) return client_->on_message(message);
+    if (message.from != 3) {
+      held_.push_back(message);
+      return;
+    }
+    Reader r(message.payload);
+    Writer w;
+    w.u8(r.u8());    // status
+    w.u64(r.u64());  // request id
+    w.bytes(r.bytes());
+    auto shares = r.vec<SigShare>([](Reader& rd) { return SigShare::decode(rd); });
+    for (auto& share : shares) share.value = BigInt::mul_mod(share.value, BigInt(2), modulus_);
+    w.vec(shares, [](Writer& wr, const SigShare& share) { share.encode(wr); });
+    net::Message tampered = message;
+    tampered.payload = w.take();
+    released_ = true;
+    client_->on_message(tampered);
+    for (const net::Message& held : held_) client_->on_message(held);
+  }
+
+ private:
+  std::unique_ptr<app::ServiceClient> client_;
+  crypto::BigInt modulus_;  ///< of the reply key
+  std::vector<net::Message> held_;
+  bool released_ = false;
+};
+
+TEST(ClientAttackTest, TamperedReplyShareStrippedAndReceiptVerifies) {
+  // The client no longer checks reply shares one by one: it combines once
+  // the supporters of a reply qualify.  Replica 3's tampered share is in
+  // that first set, so the combine fails, bisection strips it, and the
+  // next honest reply completes a receipt that verifies.
+  Rng rng(21);
+  auto deployment = adversary::Deployment::threshold(4, 1, rng);
+  net::FifoScheduler sched;
+  protocols::Cluster<SvcState> cluster(
+      deployment, sched,
+      [&](net::Party& party, int) {
+        auto s = std::make_unique<SvcState>();
+        s->replica = std::make_unique<app::Replica>(
+            party, "svc", app::Replica::Mode::kAtomic,
+            std::make_unique<app::CertificationAuthority>());
+        return s;
+      },
+      0, /*extra_endpoints=*/1, 21);
+  std::map<std::uint64_t, app::ServiceClient::Receipt> replies;
+  auto client_owner = std::make_unique<app::ServiceClient>(
+      cluster.simulator(), 4, deployment, "svc", app::Replica::Mode::kAtomic, 17,
+      [&](std::uint64_t id, app::ServiceClient::Receipt receipt) {
+        replies.emplace(id, std::move(receipt));
+      });
+  app::ServiceClient* client = client_owner.get();
+  cluster.attach_client(4, std::make_unique<TamperedReplyProxy>(
+                              std::move(client_owner),
+                              deployment.keys->public_keys().reply_sig.modulus()));
+  cluster.start();
+
+  app::CaRequest ca_request;
+  ca_request.op = app::CaRequest::Op::kIssue;
+  ca_request.subject = "alice";
+  ca_request.credentials = "credential:alice";
+  Bytes body = ca_request.encode();
+  std::uint64_t id = client->request(Bytes(body));
+  ASSERT_TRUE(cluster.simulator().run_until([&] { return replies.contains(id); }, 10000000));
+  EXPECT_EQ(app::CaResponse::decode(replies.at(id).reply).status,
+            app::CaResponse::Status::kOk);
+  EXPECT_TRUE(client->verify_receipt(id, body, replies.at(id)));
+  EXPECT_EQ(client->suspected(), crypto::party_bit(3));
 }
 
 }  // namespace
