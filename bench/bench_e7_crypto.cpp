@@ -199,6 +199,21 @@ BENCHMARK(BM_CoinCombine)
 // ---- threshold RSA signatures ------------------------------------------------
 // RSA works in Z_Nm*, independent of the Group backend — no curve arms.
 
+// Arg(0): modulus bits of a precomputed safe-prime RSA modulus (256, 512 or
+// 1024); inverts a fresh random unit each iteration.
+void BM_InverseMod(benchmark::State& state) {
+  const RsaParams params = RsaParams::precomputed(static_cast<int>(state.range(0)) / 2);
+  const BigInt modulus = params.p * params.q;
+  Rng rng(3);
+  std::vector<BigInt> values;
+  for (int i = 0; i < 64; ++i) values.push_back(BigInt::random_below(rng, modulus));
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(BigInt::inverse_mod(values[next++ % values.size()], modulus));
+  }
+}
+BENCHMARK(BM_InverseMod)->Arg(256)->Arg(512)->Arg(1024);
+
 void BM_SigShare(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int t = (n - 1) / 3;

@@ -383,8 +383,9 @@ namespace {
 
 /// Prepared threshold-RSA share equation:
 ///   v^z == a1 * v_unit^c   and   x2^z == a2 * value^c   (mod Nm)
-/// kept in positive-exponent two-sided form (no inverses exist cheaply in
-/// the unknown-order group).
+/// kept in positive-exponent two-sided form, like verify_share: it needs
+/// no inverse, and because v and x2 are units a non-unit value or
+/// commitment can never balance the equation.
 struct SigEquation {
   bool ok = false;
   std::size_t statement = 0;  ///< index of the x^2 this share signs
@@ -421,8 +422,9 @@ SigEquation prepare_sig(const ThresholdSigPublicKey& pk, const BigInt& x_squared
 }
 
 /// `x_squareds[s]` is the statement base of every equation with
-/// .statement == s.  One shared squaring chain covers the long accumulated
-/// exponents of v and each x^2; a second covers the short per-share terms.
+/// .statement == s.  The long accumulated exponent of v comes from the
+/// key's fixed-base table, one shared squaring chain covers those of the
+/// x^2, and a second covers the short per-share terms.
 bool check_sig_equations(const ThresholdSigPublicKey& pk, const std::vector<BigInt>& x_squareds,
                          const std::vector<const SigEquation*>& eqs, Rng& rng) {
   for (const SigEquation* eq : eqs) {
@@ -444,13 +446,13 @@ bool check_sig_equations(const ThresholdSigPublicKey& pk, const std::vector<BigI
     rhs.emplace_back(eq->a2, r2);
     rhs.emplace_back(eq->value, eq->c * r2);
   }
-  std::vector<std::pair<BigInt, BigInt>> lhs;
-  lhs.reserve(1 + x_squareds.size());
-  lhs.emplace_back(pk.v(), std::move(acc_v));
+  std::vector<std::pair<BigInt, BigInt>> lhs_x;
+  lhs_x.reserve(x_squareds.size());
   for (std::size_t s = 0; s < x_squareds.size(); ++s) {
-    if (!acc_x[s].is_zero()) lhs.emplace_back(x_squareds[s], std::move(acc_x[s]));
+    if (!acc_x[s].is_zero()) lhs_x.emplace_back(x_squareds[s], std::move(acc_x[s]));
   }
-  return mont.multi_pow(lhs) == mont.multi_pow(rhs);
+  const BigInt lhs = mont.mul_mod(mont.pow_fixed(pk.v_table(), acc_v), mont.multi_pow(lhs_x));
+  return lhs == mont.multi_pow(rhs);
 }
 
 BigInt statement_base(const ThresholdSigPublicKey& pk, BytesView message) {

@@ -26,8 +26,10 @@
 //
 // The same test applies in the unknown-order group Z_Nm* of the threshold
 // RSA scheme (|QR_Nm| = p'q' has no small prime factors, so short nonzero
-// weights are invertible mod the group order); there no inverses exist
-// cheaply, so the equations are kept in two-sided positive-exponent form.
+// weights are invertible mod the group order).  There the equations keep
+// the two-sided positive-exponent form that the single-share verifier also
+// uses: it needs no inverse, and it still rejects a non-unit share value
+// or commitment, since the left side is always a unit.
 //
 // On failure the batch is bisected: halves that batch-verify are clean,
 // and single-proof leaves fall back to the strict individual verifier —

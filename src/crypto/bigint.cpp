@@ -496,12 +496,250 @@ BigInt BigInt::pow_mod_reference(const BigInt& base, const BigInt& exponent, con
   return result;
 }
 
+namespace {
+
+// Fixed-width limb helpers for the odd-modulus inverse.  Every array holds
+// n little-endian limbs unless its comment says n + 1.
+
+bool is_zero_limbs(const std::uint64_t* a, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (a[i] != 0) return false;
+  }
+  return true;
+}
+
+bool is_one_limbs(const std::uint64_t* a, std::size_t n) {
+  return a[0] == 1 && is_zero_limbs(a + 1, n - 1);
+}
+
+std::size_t bit_length_limbs(const std::uint64_t* a, std::size_t n) {
+  for (std::size_t i = n; i-- > 0;) {
+    if (a[i] != 0) return 64 * i + 64 - static_cast<std::size_t>(__builtin_clzll(a[i]));
+  }
+  return 0;
+}
+
+/// The 64 bits of a starting at bit `pos` (zeros past the top limb).
+std::uint64_t bits_at(const std::uint64_t* a, std::size_t n, std::size_t pos) {
+  const std::size_t limb = pos / 64;
+  const unsigned shift = static_cast<unsigned>(pos % 64);
+  if (limb >= n) return 0;
+  std::uint64_t out = a[limb] >> shift;
+  if (shift != 0 && limb + 1 < n) out |= a[limb + 1] << (64 - shift);
+  return out;
+}
+
+/// out[0..n] = a * f for a of n limbs and f < 2^63.
+void mul_small(std::uint64_t* out, const std::uint64_t* a, std::uint64_t f, std::size_t n) {
+  std::uint64_t carry = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const unsigned __int128 cur = static_cast<unsigned __int128>(a[i]) * f + carry;
+    out[i] = static_cast<std::uint64_t>(cur);
+    carry = static_cast<std::uint64_t>(cur >> 64);
+  }
+  out[n] = carry;
+}
+
+/// a -= b over n limbs; returns the borrow out of the top limb.
+std::uint64_t sub_limbs(std::uint64_t* a, const std::uint64_t* b, std::size_t n) {
+  std::uint64_t borrow = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const unsigned __int128 diff = static_cast<unsigned __int128>(a[i]) - b[i] - borrow;
+    a[i] = static_cast<std::uint64_t>(diff);
+    borrow = static_cast<std::uint64_t>(diff >> 64) & 1;
+  }
+  return borrow;
+}
+
+void add_limbs(std::uint64_t* a, const std::uint64_t* b, std::size_t n) {
+  std::uint64_t carry = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const unsigned __int128 sum = static_cast<unsigned __int128>(a[i]) + b[i] + carry;
+    a[i] = static_cast<std::uint64_t>(sum);
+    carry = static_cast<std::uint64_t>(sum >> 64);
+  }
+}
+
+void negate_limbs(std::uint64_t* a, std::size_t n) {
+  std::uint64_t carry = 1;
+  for (std::size_t i = 0; i < n; ++i) {
+    a[i] = ~a[i] + carry;
+    carry = carry != 0 && a[i] == 0 ? 1 : 0;
+  }
+}
+
+/// out[0..n] = x*f + y*g for x, y of n limbs and |f|, |g| <= 2^31, as
+/// magnitude; returns true when the value is negative.  `tmp` holds n + 1
+/// limbs.
+bool signed_combination(std::uint64_t* out, const std::uint64_t* x, std::int64_t f,
+                        const std::uint64_t* y, std::int64_t g, std::uint64_t* tmp,
+                        std::size_t n) {
+  mul_small(out, x, static_cast<std::uint64_t>(f < 0 ? -f : f), n);
+  mul_small(tmp, y, static_cast<std::uint64_t>(g < 0 ? -g : g), n);
+  if ((f < 0) == (g < 0)) {
+    add_limbs(out, tmp, n + 1);  // |f| + |g| <= 2^32 keeps the sum in n + 1 limbs
+    return f < 0;
+  }
+  // Opposite signs: |x f| - |y g|, with the sign of whichever is larger.
+  if (sub_limbs(out, tmp, n + 1) != 0) {
+    negate_limbs(out, n + 1);
+    return f >= 0;
+  }
+  return f < 0;
+}
+
+/// t[0..n] >> s for s in [1, 63] into out[0..n].
+void shift_right_limbs(std::uint64_t* out, const std::uint64_t* t, std::size_t n, unsigned s) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = (t[i] >> s) | (t[i + 1] << (64 - s));
+  out[n] = t[n] >> s;
+}
+
+/// out = t / 2^31 mod m for t[0..n] < 2^31 * m, odd m, n0 = -m^{-1} mod
+/// 2^64: adding k*m with k = t*n0 mod 2^31 clears the low 31 bits, and
+/// (t + k*m) / 2^31 < 2m needs one conditional subtraction.  `t` is
+/// clobbered; `tmp` holds n + 1 limbs.
+void divide_2_31_mod(std::uint64_t* out, std::uint64_t* t, const std::uint64_t* m,
+                     std::uint64_t n0, std::uint64_t* tmp, std::size_t n) {
+  const std::uint64_t k = (t[0] * n0) & ((std::uint64_t{1} << 31) - 1);
+  mul_small(tmp, m, k, n);
+  add_limbs(t, tmp, n + 1);
+  shift_right_limbs(tmp, t, n, 31);
+  // tmp < 2m: subtract m once if tmp >= m (tmp[n] is at most 1).
+  std::copy(tmp, tmp + n + 1, t);
+  const std::uint64_t borrow = sub_limbs(tmp, m, n);
+  if (tmp[n] != 0 || borrow == 0) {
+    std::copy(tmp, tmp + n, out);
+  } else {
+    std::copy(t, t + n, out);
+  }
+}
+
+/// -m^{-1} mod 2^64 for odd m0 by Newton iteration (each round doubles the
+/// correct low bits; the seed m0 is correct mod 2^5).
+std::uint64_t neg_inverse_u64(std::uint64_t m0) {
+  std::uint64_t inv = m0;
+  for (int i = 0; i < 6; ++i) inv *= 2 - m0 * inv;
+  return ~inv + 1;
+}
+
+constexpr std::size_t kInverseStackLimbs = 32;  // moduli up to 2048 bits stay on the stack
+constexpr std::size_t kInverseArrays = 7;       // arrays of n + 1 limbs per inverse
+
+}  // namespace
+
 BigInt BigInt::inverse_mod(const BigInt& a, const BigInt& m) {
-  BigInt x;
-  BigInt y;
-  BigInt g = extended_gcd(a.mod(m), m, x, y);
-  SINTRA_REQUIRE(g.is_one(), "BigInt: not invertible");
-  return x.mod(m);
+  SINTRA_REQUIRE(!m.is_zero() && !m.negative_, "BigInt: modulus must be positive");
+  if (!m.is_odd()) {
+    BigInt x;
+    BigInt y;
+    BigInt g = extended_gcd(a.mod(m), m, x, y);
+    SINTRA_REQUIRE(g.is_one(), "BigInt: not invertible");
+    return x.mod(m);
+  }
+  if (m.is_one()) return BigInt();
+  const BigInt reduced = a.mod(m);
+
+  // Pornin's optimized binary gcd ("Optimized Binary GCD for Modular
+  // Inversion", 2020).  Invariants: x*u == a_ and x*v == b_ (mod m) for the
+  // input x, with b_ odd.  Each round runs 31 binary-gcd steps on 64-bit
+  // approximations of a_ and b_ (their low 31 bits, exact, and their top
+  // 33 bits), records them as a 2x2 matrix of small signed factors, then
+  // applies the matrix to the full-width values: a_ and b_ shrink by 31
+  // bits a round, and u, v are divided by 2^31 mod m so the invariants
+  // hold.  When a_ reaches 0, b_ = gcd(x, m) and v is the inverse if b_ = 1.
+  const std::size_t n = m.limbs_.size();
+  const std::size_t w = n + 1;
+  std::array<std::uint64_t, kInverseArrays * (kInverseStackLimbs + 1)> stack{};
+  std::vector<std::uint64_t> heap;
+  std::uint64_t* buffer = stack.data();
+  if (n > kInverseStackLimbs) {
+    heap.assign(kInverseArrays * w, 0);
+    buffer = heap.data();
+  }
+  std::uint64_t* a_ = buffer;
+  std::uint64_t* b_ = buffer + w;
+  std::uint64_t* u = buffer + 2 * w;
+  std::uint64_t* v = buffer + 3 * w;
+  std::uint64_t* t1 = buffer + 4 * w;
+  std::uint64_t* t2 = buffer + 5 * w;
+  std::uint64_t* tmp = buffer + 6 * w;
+  const std::uint64_t* mod = m.limbs_.data();
+  std::copy(reduced.limbs_.begin(), reduced.limbs_.end(), a_);
+  std::copy(mod, mod + n, b_);
+  u[0] = 1;
+  const std::uint64_t n0 = neg_inverse_u64(mod[0]);
+
+  // The paper bounds the steps by 2*len(m) - 1, approximations included.
+  const std::size_t max_rounds = (2 * 64 * n + 30) / 31;
+  for (std::size_t round = 0; !is_zero_limbs(a_, n); ++round) {
+    SINTRA_INVARIANT(round < max_rounds, "BigInt: inverse did not converge");
+    const std::size_t len = std::max<std::size_t>(
+        64, std::max(bit_length_limbs(a_, n), bit_length_limbs(b_, n)));
+    constexpr std::uint64_t kLow = (std::uint64_t{1} << 31) - 1;
+    std::uint64_t xa = (a_[0] & kLow) | (bits_at(a_, n, len - 33) << 31);
+    std::uint64_t xb = (b_[0] & kLow) | (bits_at(b_, n, len - 33) << 31);
+    std::int64_t f0 = 1;
+    std::int64_t g0 = 0;
+    std::int64_t f1 = 0;
+    std::int64_t g1 = 1;
+    for (int step = 0; step < 31; ++step) {
+      // Branch-free: if xa is odd, swap so that xa >= xb, then subtract.
+      const std::uint64_t odd = std::uint64_t{0} - (xa & 1);
+      const std::uint64_t swap = odd & (std::uint64_t{0} - static_cast<std::uint64_t>(xa < xb));
+      const std::int64_t swap_s = static_cast<std::int64_t>(swap);
+      const std::int64_t odd_s = static_cast<std::int64_t>(odd);
+      const std::uint64_t dx = (xa ^ xb) & swap;
+      xa ^= dx;
+      xb ^= dx;
+      const std::int64_t df = (f0 ^ f1) & swap_s;
+      f0 ^= df;
+      f1 ^= df;
+      const std::int64_t dg = (g0 ^ g1) & swap_s;
+      g0 ^= dg;
+      g1 ^= dg;
+      xa -= xb & odd;
+      f0 -= f1 & odd_s;
+      g0 -= g1 & odd_s;
+      xa >>= 1;
+      f1 *= 2;
+      g1 *= 2;
+    }
+    // a_ = |f0 a_ + g0 b_| / 2^31 and b_ = |f1 a_ + g1 b_| / 2^31 (exact
+    // divisions: the low 31 bits were tracked exactly); a negated value
+    // negates its row so u and v follow.
+    if (signed_combination(t1, a_, f0, b_, g0, tmp, n)) {
+      f0 = -f0;
+      g0 = -g0;
+    }
+    if (signed_combination(t2, a_, f1, b_, g1, tmp, n)) {
+      f1 = -f1;
+      g1 = -g1;
+    }
+    shift_right_limbs(tmp, t1, n, 31);
+    std::copy(tmp, tmp + n, a_);
+    shift_right_limbs(tmp, t2, n, 31);
+    std::copy(tmp, tmp + n, b_);
+    // u = (f0 u + g0 v) / 2^31 and v = (f1 u + g1 v) / 2^31 (mod m).
+    const bool u_negative = signed_combination(t1, u, f0, v, g0, tmp, n);
+    const bool v_negative = signed_combination(t2, u, f1, v, g1, tmp, n);
+    divide_2_31_mod(u, t1, mod, n0, tmp, n);
+    divide_2_31_mod(v, t2, mod, n0, tmp, n);
+    if (u_negative && !is_zero_limbs(u, n)) {
+      std::copy(mod, mod + n, tmp);
+      sub_limbs(tmp, u, n);
+      std::copy(tmp, tmp + n, u);
+    }
+    if (v_negative && !is_zero_limbs(v, n)) {
+      std::copy(mod, mod + n, tmp);
+      sub_limbs(tmp, v, n);
+      std::copy(tmp, tmp + n, v);
+    }
+  }
+  SINTRA_REQUIRE(is_one_limbs(b_, n), "BigInt: not invertible");
+  BigInt out;
+  out.limbs_.assign(v, v + n);
+  out.trim();
+  return out;
 }
 
 BigInt BigInt::gcd(const BigInt& a, const BigInt& b) {
@@ -583,12 +821,7 @@ Montgomery::Montgomery(BigInt modulus) : m_big_(std::move(modulus)) {
   SINTRA_REQUIRE(m_big_.is_odd(), "Montgomery: modulus must be odd");
   m_ = m_big_.limbs_;
   n_ = m_.size();
-  // n0_ = -m^{-1} mod 2^64 by Newton iteration (doubles correct bits each
-  // round; 6 rounds cover 64 bits starting from the 5-bit-correct seed m0).
-  const std::uint64_t m0 = m_[0];
-  std::uint64_t inv = m0;  // correct mod 2^5 for odd m0
-  for (int i = 0; i < 6; ++i) inv *= 2 - m0 * inv;
-  n0_ = ~inv + 1;  // -inv mod 2^64
+  n0_ = neg_inverse_u64(m_[0]);
   r2_ = BigInt(1).shifted_left(128 * n_).mod(m_big_);
   one_mont_ = BigInt(1).shifted_left(64 * n_).mod(m_big_);
 }
@@ -770,6 +1003,44 @@ BigInt Montgomery::multi_pow(const std::vector<std::pair<BigInt, BigInt>>& pairs
       if (window != 0) {
         mont_mul_limbs(result.data(), tables[k][window - 1].data(), result.data(), t.data());
       }
+    }
+  }
+  return from_mont(store(result));
+}
+
+Montgomery::FixedBase Montgomery::fixed_base(const BigInt& base, std::size_t max_bits) const {
+  FixedBase table;
+  table.base_ = base.mod(m_big_);
+  table.digits_ = (max_bits + 3) / 4;
+  table.limbs_.assign(table.digits_ * 15 * n_, 0);
+  Limbs cur = load(to_mont(table.base_));  // base^(16^i) in Montgomery form
+  Limbs t(n_ + 1);
+  for (std::size_t i = 0; i < table.digits_; ++i) {
+    std::uint64_t* block = table.limbs_.data() + i * 15 * n_;
+    std::copy(cur.begin(), cur.end(), block);
+    for (std::size_t j = 1; j < 15; ++j) {
+      mont_mul_limbs(block + (j - 1) * n_, cur.data(), block + j * n_, t.data());
+    }
+    mont_mul_limbs(block + 14 * n_, cur.data(), cur.data(), t.data());
+  }
+  return table;
+}
+
+BigInt Montgomery::pow_fixed(const FixedBase& table, const BigInt& exponent) const {
+  SINTRA_REQUIRE(!exponent.is_negative(), "Montgomery: negative exponent");
+  SINTRA_REQUIRE(table.limbs_.size() == table.digits_ * 15 * n_,
+                 "Montgomery: fixed-base table built for another modulus");
+  const std::size_t bits = exponent.bit_length();
+  if (bits > table.max_bits()) return pow(table.base_, exponent);
+  Limbs result = load(one_mont_);
+  Limbs t(n_ + 1);
+  const std::size_t digits = (bits + 3) / 4;
+  for (std::size_t i = 0; i < digits; ++i) {
+    // 4-bit digits never straddle a limb (64 is a multiple of 4).
+    const std::size_t digit = (exponent.limbs_[i / 16] >> (4 * (i % 16))) & 0xF;
+    if (digit != 0) {
+      mont_mul_limbs(result.data(), table.limbs_.data() + (i * 15 + digit - 1) * n_,
+                     result.data(), t.data());
     }
   }
   return from_mont(store(result));

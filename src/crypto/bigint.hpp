@@ -10,8 +10,11 @@
 // 64-bit limbs with no trailing zero limbs (zero is an empty vector,
 // sign +1).  Multiplication is schoolbook with 128-bit accumulation;
 // division is Knuth Algorithm D; modular exponentiation uses a fixed
-// 4-bit window.  Performance targets the parameter sizes used by the
-// benchmarks (up to ~2048-bit moduli), not production RSA-4096.
+// 4-bit window.  Inversion modulo an odd modulus is Pornin's batched
+// binary gcd over fixed-width limb arrays (no allocation inside the loop);
+// only even moduli take the allocating extended Euclid.  Performance
+// targets the parameter sizes used by the benchmarks (up to ~2048-bit
+// moduli), not production RSA-4096.
 #pragma once
 
 #include <cstdint>
@@ -106,6 +109,11 @@ class BigInt {
   static BigInt pow2_mod(const BigInt& b1, const BigInt& e1, const BigInt& b2, const BigInt& e2,
                          const BigInt& m);
   /// Multiplicative inverse mod m; throws ProtocolError if gcd(a, m) != 1.
+  /// Odd moduli (every threshold-crypto modulus) take a binary extended
+  /// gcd on fixed-width limb arrays that runs 31 steps at a time on 64-bit
+  /// approximations and applies them to the full values in one pass; even
+  /// moduli fall back to extended_gcd, which also serves as the
+  /// differential-test oracle.
   static BigInt inverse_mod(const BigInt& a, const BigInt& m);
 
   static BigInt gcd(const BigInt& a, const BigInt& b);
@@ -195,6 +203,30 @@ class Montgomery {
   /// prod_i base_i^{exp_i} mod m, all exponents non-negative.  Generalizes
   /// pow2 to k bases with one shared squaring chain.
   [[nodiscard]] BigInt multi_pow(const std::vector<std::pair<BigInt, BigInt>>& pairs) const;
+
+  /// Windowed fixed-base precomputation for one long-lived base: entry
+  /// (i, j) holds base^(j * 16^i) in Montgomery form for j = 1..15 and every
+  /// 4-bit digit position i below max_bits(), all in one flat limb array.
+  /// A power is then one table multiply per nonzero exponent digit and no
+  /// squarings.  Built by fixed_base() and only valid with that context.
+  class FixedBase {
+   public:
+    /// Widest exponent the table covers; wider ones fall back to pow().
+    [[nodiscard]] std::size_t max_bits() const { return 4 * digits_; }
+    [[nodiscard]] std::size_t size_bytes() const { return limbs_.size() * sizeof(std::uint64_t); }
+
+   private:
+    friend class Montgomery;
+    BigInt base_;  ///< reduced into [0, m)
+    std::size_t digits_ = 0;
+    std::vector<std::uint64_t> limbs_;  ///< digits_ x 15 entries x limb_count()
+  };
+
+  /// Table for base^e with e up to `max_bits` bits (rounded up to a digit).
+  [[nodiscard]] FixedBase fixed_base(const BigInt& base, std::size_t max_bits) const;
+  /// The table's base raised to `exponent` mod m; exponent must be
+  /// non-negative.
+  [[nodiscard]] BigInt pow_fixed(const FixedBase& table, const BigInt& exponent) const;
 
   /// R mod m — the Montgomery-domain representation of 1.
   [[nodiscard]] const BigInt& one_mont() const { return one_mont_; }

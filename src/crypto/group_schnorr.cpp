@@ -64,7 +64,7 @@ SchnorrGroup::SchnorrGroup(BigInt p, BigInt q, BigInt g, std::string name)
   SINTRA_INVARIANT(((p_ - BigInt(1)) % q_).is_zero(), "Group: q must divide p-1");
   cofactor_ = (p_ - BigInt(1)) / q_;
   SINTRA_INVARIANT(residue_is_member(gen_) && !gen_.is_one(), "Group: bad generator");
-  g_table_ = build_fixed_base(gen_);
+  g_table_ = mont_p_.fixed_base(gen_, q_.bit_length());
   g_ = Element::from_residue(gen_);
 }
 
@@ -83,34 +83,7 @@ std::shared_ptr<const SchnorrGroup> SchnorrGroup::big() {
   return group;
 }
 
-SchnorrGroup::FixedBaseTable SchnorrGroup::build_fixed_base(const BigInt& base) const {
-  FixedBaseTable table;
-  const std::size_t blocks = (q_.bit_length() + 3) / 4;
-  table.blocks.resize(blocks);
-  BigInt cur = mont_p_.to_mont(base);  // base^(16^i) in Montgomery form
-  for (std::size_t i = 0; i < blocks; ++i) {
-    auto& block = table.blocks[i];
-    block.reserve(15);
-    block.push_back(cur);
-    for (int j = 2; j <= 15; ++j) block.push_back(mont_p_.mul(block.back(), cur));
-    cur = mont_p_.mul(block.back(), cur);
-  }
-  return table;
-}
-
-BigInt SchnorrGroup::exp_fixed(const FixedBaseTable& table, const BigInt& scalar) const {
-  BigInt result = mont_p_.one_mont();
-  for (std::size_t i = 0; i < table.blocks.size(); ++i) {
-    const std::uint32_t digit = (static_cast<std::uint32_t>(scalar.bit(4 * i + 3)) << 3) |
-                                (static_cast<std::uint32_t>(scalar.bit(4 * i + 2)) << 2) |
-                                (static_cast<std::uint32_t>(scalar.bit(4 * i + 1)) << 1) |
-                                static_cast<std::uint32_t>(scalar.bit(4 * i));
-    if (digit != 0) result = mont_p_.mul(result, table.blocks[i][digit - 1]);
-  }
-  return mont_p_.from_mont(result);
-}
-
-const SchnorrGroup::FixedBaseTable* SchnorrGroup::registered_table(const BigInt& base) const {
+const Montgomery::FixedBase* SchnorrGroup::registered_table(const BigInt& base) const {
   std::lock_guard<std::mutex> lock(base_cache_mutex_);
   auto it = base_cache_.find(element_key(base));
   if (it == base_cache_.end()) return nullptr;
@@ -120,7 +93,7 @@ const SchnorrGroup::FixedBaseTable* SchnorrGroup::registered_table(const BigInt&
     // the one-time table cost (hundreds of multiplications).  Registering a
     // base that is never exponentiated stays free.
     if (++entry.uses < 2) return nullptr;
-    entry.table = build_fixed_base(base);
+    entry.table = mont_p_.fixed_base(base, q_.bit_length());
     entry.built = true;
   }
   return &entry.table;
@@ -140,15 +113,15 @@ Element SchnorrGroup::mul(const Element& a, const Element& b) const {
 Element SchnorrGroup::exp(const Element& base, const BigInt& scalar) const {
   const BigInt e = scalar.mod(q_);
   const BigInt& b = base.residue();
-  if (b == gen_) return Element::from_residue(exp_fixed(g_table_, e));
-  if (const FixedBaseTable* table = registered_table(b)) {
-    return Element::from_residue(exp_fixed(*table, e));
+  if (b == gen_) return Element::from_residue(mont_p_.pow_fixed(g_table_, e));
+  if (const Montgomery::FixedBase* table = registered_table(b)) {
+    return Element::from_residue(mont_p_.pow_fixed(*table, e));
   }
   return Element::from_residue(mont_p_.pow(b, e));
 }
 
 Element SchnorrGroup::exp_g(const BigInt& scalar) const {
-  return Element::from_residue(exp_fixed(g_table_, scalar.mod(q_)));
+  return Element::from_residue(mont_p_.pow_fixed(g_table_, scalar.mod(q_)));
 }
 
 Element SchnorrGroup::exp2(const Element& b1, const BigInt& e1, const Element& b2,

@@ -2,8 +2,8 @@
 //
 // Elements are canonical residues in [0, p), carried inside Element as
 // BigInt.  Exponentiation runs through a cached Montgomery/REDC context;
-// the generator and registered long-lived bases get 4-bit windowed
-// fixed-base tables (one table multiply per scalar nibble, no squarings).
+// the generator and registered long-lived bases get Montgomery::FixedBase
+// tables (one table multiply per scalar nibble, no squarings).
 // The three hard-coded parameter sets were generated offline with an
 // independent implementation and are re-verified by the test suite.
 #pragma once
@@ -47,24 +47,14 @@ class SchnorrGroup final : public Group {
   [[nodiscard]] Element decode_residue(Reader& r) const override;
 
  private:
-  /// Windowed fixed-base precomputation: blocks[i][j-1] = base^(j * 16^i)
-  /// in Montgomery form, so an exponentiation is one table multiply per
-  /// 4-bit digit of the scalar and no squarings at all.
-  struct FixedBaseTable {
-    std::vector<std::vector<BigInt>> blocks;
-  };
-
-  [[nodiscard]] FixedBaseTable build_fixed_base(const BigInt& base) const;
-  /// scalar must already be reduced into [0, q).
-  [[nodiscard]] BigInt exp_fixed(const FixedBaseTable& table, const BigInt& scalar) const;
-  [[nodiscard]] const FixedBaseTable* registered_table(const BigInt& base) const;
+  [[nodiscard]] const Montgomery::FixedBase* registered_table(const BigInt& base) const;
   [[nodiscard]] bool residue_is_member(const BigInt& a) const;
 
   BigInt p_;
   BigInt gen_;       ///< generator residue (g_ holds the Element wrapper)
   BigInt cofactor_;  ///< (p-1)/q
   Montgomery mont_p_;       ///< REDC context for Z_p (declared after p_)
-  FixedBaseTable g_table_;  ///< eager fixed-base table for the generator
+  Montgomery::FixedBase g_table_;  ///< eager fixed-base table for the generator
 
   // Bounded registry of long-lived bases.  Registration via precompute_base
   // is cheap (a map entry); the table itself is built on the entry's second
@@ -74,7 +64,7 @@ class SchnorrGroup final : public Group {
   struct BaseEntry {
     int uses = 0;
     bool built = false;
-    FixedBaseTable table;
+    Montgomery::FixedBase table;
   };
   mutable std::mutex base_cache_mutex_;
   mutable std::map<std::string, BaseEntry> base_cache_;

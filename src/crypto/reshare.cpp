@@ -76,7 +76,8 @@ std::vector<Element> dl_new_verification(const Group& group, const std::vector<i
 RsaReshareDealing RsaReshareDealing::deal(const BigInt& old_share,
                                           const BigInt& old_verification,
                                           std::size_t coeff_bits, int n_new, int t_new,
-                                          const BigInt& v, const Montgomery& mont, Rng& rng) {
+                                          const Montgomery::FixedBase& v, const Montgomery& mont,
+                                          Rng& rng) {
   SINTRA_REQUIRE(n_new >= 1 && t_new >= 0 && t_new < n_new, "reshare: bad new committee");
   SINTRA_REQUIRE(old_share.bit_length() <= coeff_bits,
                  "reshare: share wider than the public coefficient width");
@@ -88,7 +89,7 @@ RsaReshareDealing RsaReshareDealing::deal(const BigInt& old_share,
   dealing.commitments.push_back(old_verification);
   for (int k = 1; k <= t_new; ++k) {
     coeffs.push_back(BigInt::random_bits(rng, coeff_bits));
-    dealing.commitments.push_back(mont.pow(v, coeffs.back()));
+    dealing.commitments.push_back(mont.pow_fixed(v, coeffs.back()));
   }
   dealing.subshares.reserve(static_cast<std::size_t>(n_new));
   for (int i = 0; i < n_new; ++i) {
@@ -116,7 +117,8 @@ BigInt RsaReshareDealing::subshare_image(const std::vector<BigInt>& commitments,
 }
 
 bool RsaReshareDealing::verify_subshare(const std::vector<BigInt>& commitments, int slot,
-                                        const BigInt& subshare, const BigInt& v,
+                                        const BigInt& subshare,
+                                        const Montgomery::FixedBase& v,
                                         const Montgomery& mont) {
   if (commitments.empty()) return false;
   for (const BigInt& c : commitments) {

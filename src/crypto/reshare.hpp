@@ -80,16 +80,19 @@ struct RsaReshareDealing {
   /// width rsa_reshare_coeff_bits(share_bits) so that sub-share bounds are
   /// derivable by every verifier.
   static RsaReshareDealing deal(const BigInt& old_share, const BigInt& old_verification,
-                                std::size_t coeff_bits, int n_new, int t_new, const BigInt& v,
-                                const Montgomery& mont, Rng& rng);
+                                std::size_t coeff_bits, int n_new, int t_new,
+                                const Montgomery::FixedBase& v, const Montgomery& mont,
+                                Rng& rng);
 
   /// Expected v^{g_j(i+1)} for new slot i, from commitments alone.
   static BigInt subshare_image(const std::vector<BigInt>& commitments, int slot,
                                const Montgomery& mont);
 
-  /// Publicly verify new slot `slot`'s (signed) sub-share.
+  /// Publicly verify new slot `slot`'s (signed) sub-share; `v` is the
+  /// key's fixed-base table (ThresholdSigPublicKey::v_table).
   static bool verify_subshare(const std::vector<BigInt>& commitments, int slot,
-                              const BigInt& subshare, const BigInt& v, const Montgomery& mont);
+                              const BigInt& subshare, const Montgomery::FixedBase& v,
+                              const Montgomery& mont);
 };
 
 /// Interpolate my new signed integer share: sum of Δ-cleared Lagrange

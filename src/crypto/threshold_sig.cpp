@@ -68,6 +68,14 @@ BigInt pow_signed(const BigInt& base, const BigInt& exponent, const Montgomery& 
   return mont.pow(base, exponent);
 }
 
+BigInt pow_signed(const Montgomery::FixedBase& base, const BigInt& exponent,
+                  const Montgomery& mont) {
+  if (exponent.is_negative()) {
+    return BigInt::inverse_mod(mont.pow_fixed(base, -exponent), mont.modulus());
+  }
+  return mont.pow_fixed(base, exponent);
+}
+
 BigInt sig_share_challenge(const BigInt& modulus, int unit, const BigInt& v,
                            const BigInt& v_unit, const BigInt& x_squared, const BigInt& share,
                            const BigInt& a1, const BigInt& a2) {
@@ -131,6 +139,10 @@ ThresholdSigPublicKey::ThresholdSigPublicKey(BigInt modulus, BigInt e, BigInt v,
       share_bits_(share_bits == 0 ? modulus_.bit_length() : share_bits) {
   // Responses are bounded by r_max + c_max * d_max; see sign().
   response_bytes_ = (share_bits_ + 8 * kChallengeBytes + kSlackBits) / 8 + 2;
+  // The batch verifier raises v to sum_i z_i * w_i with weights no wider
+  // than a challenge; 16 more bits cover sums over up to 2^16 shares.
+  v_table_ = std::make_shared<const Montgomery::FixedBase>(
+      mont_->fixed_base(v_, 8 * response_bytes_ + 8 * kChallengeBytes + 16));
 }
 
 BigInt ThresholdSigPublicKey::hash_to_base(BytesView message) const {
@@ -167,7 +179,7 @@ std::vector<SigShare> ThresholdSigSecretKey::sign(const ThresholdSigPublicKey& p
     // redraw r rather than leak the sign through a rejected share.
     for (;;) {
       const BigInt r = BigInt::random_bits(rng, r_bits);
-      share.a1 = mont.pow(pk.v(), r);
+      share.a1 = mont.pow_fixed(pk.v_table(), r);
       share.a2 = mont.pow(x_squared, r);
       const BigInt c = sig_share_challenge(modulus, unit, pk.v(), pk.verification(unit),
                                            x_squared, share.value, share.a1, share.a2);
@@ -194,24 +206,12 @@ bool ThresholdSigPublicKey::verify_share(BytesView message, const SigShare& shar
   const BigInt& v_unit = verification_.at(static_cast<std::size_t>(share.unit));
   const BigInt c = sig_share_challenge(modulus_, share.unit, v_, v_unit, x_squared, share.value,
                                        share.a1, share.a2);
-  // Batch-invert v_unit and share.value (Montgomery's trick): one extended
-  // Euclid pass instead of two, and its failure doubles as the
-  // gcd(share.value, Nm) != 1 rejection (v_unit is a unit by construction,
-  // so a shared factor can only come from the adversarial share value).
-  BigInt inv_prod;
-  try {
-    inv_prod = BigInt::inverse_mod(BigInt::mul_mod(v_unit, share.value, modulus_), modulus_);
-  } catch (const ProtocolError&) {
-    return false;
-  }
-  const BigInt v_unit_inv = BigInt::mul_mod(inv_prod, share.value, modulus_);
-  const BigInt value_inv = BigInt::mul_mod(inv_prod, v_unit, modulus_);
-  // Check base^z * target^{-c} == a.  The negative exponent becomes a
-  // positive one on the inverse, so both factors fold into one simultaneous
-  // double exponentiation over the shared squaring chain of the (much
-  // longer) response exponent.
-  return mont_->pow2(v_, share.response, v_unit_inv, c) == share.a1 &&
-         mont_->pow2(x_squared, share.response, value_inv, c) == share.a2;
+  // base^z == a * target^c on both equations (see the header for why no
+  // inverse is needed); v^z comes from the fixed-base table.
+  return mont_->pow_fixed(*v_table_, share.response) ==
+             mont_->mul_mod(share.a1, mont_->pow(v_unit, c)) &&
+         mont_->pow(x_squared, share.response) ==
+             mont_->mul_mod(share.a2, mont_->pow(share.value, c));
 }
 
 std::optional<BigInt> ThresholdSigPublicKey::combine(BytesView message,
@@ -224,14 +224,6 @@ std::optional<BigInt> ThresholdSigPublicKey::combine(BytesView message,
   }
   if (!scheme_->qualified(parties)) return std::nullopt;
 
-  // w = prod x_j^{2 c_j} = x^{4 Delta d} in QR_Nm.
-  BigInt w(1);
-  for (const auto& [unit, coeff] : scheme_->coefficients(parties)) {
-    auto it = by_unit.find(unit);
-    SINTRA_INVARIANT(it != by_unit.end(), "tsig: coefficient for missing share");
-    w = BigInt::mul_mod(w, pow_signed(it->second, coeff * BigInt(2), *mont_), modulus_);
-  }
-
   // a * (4 Delta) + b * e = 1; requires gcd(4 Delta, e) = 1, which holds for
   // the prime e = 65537 > any factor of Delta.
   const BigInt four_delta = scheme_->delta() * BigInt(4);
@@ -240,9 +232,32 @@ std::optional<BigInt> ThresholdSigPublicKey::combine(BytesView message,
   const BigInt g = BigInt::extended_gcd(four_delta, e_, a, b);
   SINTRA_INVARIANT(g.is_one(), "tsig: e not coprime to 4*Delta");
 
-  const BigInt x = hash_to_base(message);
-  const BigInt y =
-      BigInt::mul_mod(pow_signed(w, a, *mont_), pow_signed(x, b, *mont_), modulus_);
+  // y = w^a * x^b with w = prod x_j^{2 c_j} = x^{4 Delta d} in QR_Nm, as
+  // prod x_j^{2 c_j a} * x^b split by exponent sign.
+  std::vector<std::pair<BigInt, BigInt>> numerator;
+  std::vector<std::pair<BigInt, BigInt>> denominator;
+  const auto add_factor = [&](const BigInt& base, BigInt exponent) {
+    if (exponent.is_negative()) {
+      denominator.emplace_back(base, -exponent);
+    } else if (!exponent.is_zero()) {
+      numerator.emplace_back(base, std::move(exponent));
+    }
+  };
+  for (const auto& [unit, coeff] : scheme_->coefficients(parties)) {
+    auto it = by_unit.find(unit);
+    SINTRA_INVARIANT(it != by_unit.end(), "tsig: coefficient for missing share");
+    add_factor(it->second, coeff * a * BigInt(2));
+  }
+  add_factor(hash_to_base(message), b);
+
+  BigInt y = mont_->multi_pow(numerator);
+  if (!denominator.empty()) {
+    try {
+      y = mont_->mul_mod(y, BigInt::inverse_mod(mont_->multi_pow(denominator), modulus_));
+    } catch (const ProtocolError&) {
+      return std::nullopt;  // a share value shares a factor with Nm
+    }
+  }
   if (!verify(message, y)) return std::nullopt;
   return y;
 }

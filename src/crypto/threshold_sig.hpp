@@ -87,6 +87,9 @@ class ThresholdSigSecretKey {
 /// value arithmetic need this; throws ProtocolError if the base is not
 /// invertible.
 BigInt pow_signed(const BigInt& base, const BigInt& exponent, const Montgomery& mont);
+/// The same for a base held in a fixed-base table built by `mont`.
+BigInt pow_signed(const Montgomery::FixedBase& base, const BigInt& exponent,
+                  const Montgomery& mont);
 
 class ThresholdSigPublicKey {
  public:
@@ -113,11 +116,21 @@ class ThresholdSigPublicKey {
   /// (a statement is hashed again by each share check, combine and verify).
   [[nodiscard]] BigInt hash_to_base(BytesView message) const;
 
+  /// Checks the share's proof as v^z == a1 * v_unit^c and
+  /// (x^2)^z == a2 * value^c, with no inverse: v and x^2 are units, so a
+  /// value or commitment sharing a factor with Nm makes the right side a
+  /// non-unit and the check fail.  The same two-sided form as the batch
+  /// verifier in crypto/batch.hpp.
   [[nodiscard]] bool verify_share(BytesView message, const SigShare& share) const;
 
   /// Combine shares from a qualified owner set into a standard RSA
   /// signature; nullopt if the set is unqualified or the result fails
   /// final verification (which cannot happen if all shares verified).
+  /// y = w^a * x^b with w = prod value_j^{2 c_j} is expanded into one
+  /// numerator (factors with positive exponent c_j*a, and x^b if b > 0)
+  /// over one denominator (the negative ones), each a multi-exponentiation,
+  /// so a combine costs one inversion.  The signature is unique, so this is
+  /// bit-identical to evaluating w first.
   [[nodiscard]] std::optional<BigInt> combine(BytesView message,
                                               const std::vector<SigShare>& shares) const;
 
@@ -127,6 +140,12 @@ class ThresholdSigPublicKey {
   /// Shared Montgomery context for Z_Nm, reused by every sign/verify/combine
   /// exponentiation instead of rebuilding R^2 mod Nm per call.
   [[nodiscard]] const Montgomery& mont() const { return *mont_; }
+
+  /// Fixed-base table for v, wide enough for every exponent of v the
+  /// scheme forms: signing randomness, proof responses, the batch
+  /// verifier's weighted response sums and reshare sub-shares.  Shared by
+  /// every copy of the key.
+  [[nodiscard]] const Montgomery::FixedBase& v_table() const { return *v_table_; }
 
   /// Serialized signature width.
   [[nodiscard]] std::size_t signature_bytes() const { return (modulus_.bit_length() + 7) / 8; }
@@ -146,6 +165,7 @@ class ThresholdSigPublicKey {
   std::vector<BigInt> verification_;   ///< unit -> v^{d_unit}
   std::shared_ptr<const LinearScheme> scheme_;
   std::shared_ptr<const Montgomery> mont_;  ///< REDC context for Z_Nm
+  std::shared_ptr<const Montgomery::FixedBase> v_table_;  ///< powers of v
   std::shared_ptr<BaseMemo> base_memo_;     ///< hash_to_base results, thread-safe
   std::size_t share_bits_;             ///< width bound for secret shares
   std::size_t response_bytes_;         ///< width bound for proof responses

@@ -281,11 +281,11 @@ void Reconfig::start() {
   RsaReshareDealing reply_dealing = RsaReshareDealing::deal(
       reply_share, pub.reply_sig.verification(me()),
       crypto::rsa_reshare_coeff_bits(pub.reply_sig.share_bits()), plan_.n_new,
-      plan_.low_degree(), pub.reply_sig.v(), pub.reply_sig.mont(), host_.rng());
+      plan_.low_degree(), pub.reply_sig.v_table(), pub.reply_sig.mont(), host_.rng());
   RsaReshareDealing cert_dealing = RsaReshareDealing::deal(
       cert_share, pub.cert_sig.verification(me()),
       crypto::rsa_reshare_coeff_bits(pub.cert_sig.share_bits()), plan_.n_new,
-      plan_.high_degree(), pub.cert_sig.v(), pub.cert_sig.mont(), host_.rng());
+      plan_.high_degree(), pub.cert_sig.v_table(), pub.cert_sig.mont(), host_.rng());
 
   std::vector<BigInt> coin_masked, tdh2_masked, reply_masked, cert_masked;
   for (int i = 0; i < plan_.n_new; ++i) {
@@ -402,9 +402,9 @@ void Reconfig::handle_dealing(int origin, Reader& reader) {
     valid = FeldmanDealing::verify_share(group, d.coin_commitments, my_new, coin_sub) &&
             FeldmanDealing::verify_share(group, d.tdh2_commitments, my_new, tdh2_sub) &&
             RsaReshareDealing::verify_subshare(d.reply_commitments, my_new, reply_sub,
-                                               pub.reply_sig.v(), pub.reply_sig.mont()) &&
+                                               pub.reply_sig.v_table(), pub.reply_sig.mont()) &&
             RsaReshareDealing::verify_subshare(d.cert_commitments, my_new, cert_sub,
-                                               pub.cert_sig.v(), pub.cert_sig.mont());
+                                               pub.cert_sig.v_table(), pub.cert_sig.mont());
   }
   d.valid = valid;
   dealers_seen_ |= crypto::party_bit(origin);
@@ -878,7 +878,7 @@ bool JoinListener::offer(const JoinPackage& package) {
           package.cert_subshares[k] - derive_rsa_mask(tag_, plan.new_epoch, kKeyCert, dealer,
                                                       new_slot_, jkey, cert_width);
       if (!RsaReshareDealing::verify_subshare(package.cert_commitments[k], new_slot_, cert_sub,
-                                              old_public_.cert_sig.v(),
+                                              old_public_.cert_sig.v_table(),
                                               old_public_.cert_sig.mont())) {
         suspected_ |= crypto::party_bit(dealer);
         throw ProtocolError("join: cert sub-share fails verification");
@@ -899,7 +899,7 @@ bool JoinListener::offer(const JoinPackage& package) {
           !FeldmanDealing::verify_share(*group_, package.tdh2_commitments[k], new_slot_,
                                         tdh2_sub) ||
           !RsaReshareDealing::verify_subshare(package.reply_commitments[k], new_slot_, reply_sub,
-                                              old_public_.reply_sig.v(),
+                                              old_public_.reply_sig.v_table(),
                                               old_public_.reply_sig.mont())) {
         suspected_ |= crypto::party_bit(dealer);
         throw ProtocolError("join: sub-share fails verification");

@@ -2,6 +2,8 @@
 // the numeric substrate under every threshold primitive.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "common/rng.hpp"
 #include "crypto/bigint.hpp"
 
@@ -205,6 +207,67 @@ TEST(BigIntTest, InverseMod) {
     EXPECT_TRUE(BigInt::mul_mod(a, inv, p).is_one());
   }
   EXPECT_THROW(BigInt::inverse_mod(BigInt(6), BigInt(9)), ProtocolError);
+}
+
+// The extended-Euclid oracle: the inverse of a mod m, or nullopt when
+// gcd(a, m) != 1.
+std::optional<BigInt> oracle_inverse(const BigInt& a, const BigInt& m) {
+  BigInt x;
+  BigInt y;
+  if (!BigInt::extended_gcd(a.mod(m), m, x, y).is_one()) return std::nullopt;
+  return x.mod(m);
+}
+
+void expect_inverse_matches_oracle(const BigInt& a, const BigInt& m) {
+  const std::optional<BigInt> want = oracle_inverse(a, m);
+  if (want) {
+    EXPECT_EQ(BigInt::inverse_mod(a, m), *want) << a.to_hex() << " mod " << m.to_hex();
+  } else {
+    EXPECT_THROW(BigInt::inverse_mod(a, m), ProtocolError) << a.to_hex() << " mod " << m.to_hex();
+  }
+}
+
+TEST(BigIntTest, InverseModMatchesExtendedEuclidOracle) {
+  // Random odd moduli from one limb to 1536 bits (the fixed-width limb
+  // path), with random values that are sometimes not coprime to m.
+  Rng rng(78);
+  for (std::size_t bits = 64; bits <= 1536; bits += 64) {
+    for (int i = 0; i < 6; ++i) {
+      BigInt m = BigInt::random_bits(rng, bits - static_cast<std::size_t>(i % 3));
+      if (!m.is_odd()) m += BigInt(1);
+      const BigInt a = BigInt::random_below(rng, m);
+      expect_inverse_matches_oracle(a, m);
+      expect_inverse_matches_oracle(a * BigInt(3), m);  // shares 3 with a third of moduli
+      // Edge values: a >= m, a = 1, a = m - 1, and a negative representative.
+      expect_inverse_matches_oracle(a + m * BigInt(5), m);
+      expect_inverse_matches_oracle(BigInt(1), m);
+      expect_inverse_matches_oracle(m - BigInt(1), m);
+      expect_inverse_matches_oracle(-a, m);
+    }
+  }
+}
+
+TEST(BigIntTest, InverseModRejectsNonUnitsAndFallsBackForEvenModuli) {
+  Rng rng(79);
+  const BigInt p = BigInt::random_prime(rng, 200);
+  const BigInt q = BigInt::random_prime(rng, 200);
+  const BigInt n = p * q;
+  // gcd != 1: multiples of a factor, zero, and the modulus itself throw.
+  EXPECT_THROW(BigInt::inverse_mod(p * BigInt(12345), n), ProtocolError);
+  EXPECT_THROW(BigInt::inverse_mod(q, n), ProtocolError);
+  EXPECT_THROW(BigInt::inverse_mod(BigInt(0), n), ProtocolError);
+  EXPECT_THROW(BigInt::inverse_mod(n, n), ProtocolError);
+  // Everything is its own inverse class mod 1: the result is 0.
+  EXPECT_TRUE(BigInt::inverse_mod(BigInt(5), BigInt(1)).is_zero());
+  // Even moduli take the extended-Euclid fallback and agree with it.
+  for (int i = 0; i < 20; ++i) {
+    const BigInt m = BigInt::random_bits(rng, 64 + 37 * static_cast<std::size_t>(i))
+                         .shifted_left(1 + static_cast<std::size_t>(i % 3));
+    const BigInt a = BigInt::random_below(rng, m);
+    expect_inverse_matches_oracle(a, m);
+    expect_inverse_matches_oracle(a + BigInt(1), m);
+  }
+  EXPECT_THROW(BigInt::inverse_mod(BigInt(6), BigInt(10)), ProtocolError);
 }
 
 TEST(BigIntTest, GcdAndExtendedGcd) {

@@ -117,6 +117,31 @@ TEST(MontgomeryTest, MultiPowMatchesProductOfReferencePowers) {
   }
 }
 
+TEST(MontgomeryTest, FixedBasePowMatchesPowAtEveryWidth) {
+  Rng rng(107);
+  for (const BigInt& m : interesting_moduli()) {
+    Montgomery mont(m);
+    for (std::size_t table_bits : {std::size_t{1}, std::size_t{64}, std::size_t{130}}) {
+      // A base at or beyond the modulus is reduced like pow() reduces it.
+      for (const BigInt& base : {BigInt::random_below(rng, m), m + BigInt(3)}) {
+        const Montgomery::FixedBase table = mont.fixed_base(base, table_bits);
+        const std::size_t width = table.max_bits();
+        EXPECT_GE(width, table_bits);
+        EXPECT_LT(width, table_bits + 4);
+        EXPECT_EQ(table.size_bytes(), width / 4 * 15 * mont.limb_count() * 8);
+        // Exponent widths 0, 1, the table width and one past it (the pow
+        // fallback), plus an all-ones exponent of exactly the table width.
+        const BigInt all_ones = BigInt(1).shifted_left(width) - BigInt(1);
+        for (const BigInt& exp : {BigInt(0), BigInt(1), BigInt::random_bits(rng, width),
+                                  BigInt::random_bits(rng, width + 1), all_ones}) {
+          EXPECT_EQ(mont.pow_fixed(table, exp), mont.pow(base, exp))
+              << "table " << width << " bits, exponent " << exp.bit_length() << " bits";
+        }
+      }
+    }
+  }
+}
+
 TEST(MontgomeryTest, DispatcherFallsBackForEvenAndTinyModuli) {
   Rng rng(105);
   const BigInt even = BigInt::from_string("0x8ae6dc1067c0315a91688ea460719bfafa266000");

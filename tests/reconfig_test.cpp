@@ -298,11 +298,11 @@ TEST(ReshareTest, RsaRedistributedSharesStillSignUnderOldKey) {
   for (int j : dealers) {
     const BigInt& share = deal.secret_keys[static_cast<std::size_t>(j)].unit_shares().at(j);
     auto dealing = crypto::RsaReshareDealing::deal(share, pk.verification(j), coeff_bits, 5, 1,
-                                                   pk.v(), pk.mont(), rng);
+                                                   pk.v_table(), pk.mont(), rng);
     for (int slot = 0; slot < 5; ++slot) {
       EXPECT_TRUE(crypto::RsaReshareDealing::verify_subshare(
           dealing.commitments, slot, dealing.subshares[static_cast<std::size_t>(slot)],
-          pk.v(), pk.mont()));
+          pk.v_table(), pk.mont()));
     }
     commitments.push_back(dealing.commitments);
     dealings.push_back(std::move(dealing));
