@@ -77,7 +77,7 @@ void AtomicBroadcast::checkpoint_load(Reader& reader) {
   for (std::uint32_t i = 0; i < log_count; ++i) {
     const int origin = static_cast<int>(reader.u32());
     Bytes payload = reader.bytes();
-    note_delivered(payload_digest(payload));
+    delivered_.insert(payload_digest(payload));
     ++delivered_count_;
     chain_digest_ = crypto::chain_extend(chain_digest_, origin, payload);
     delivered_log_.emplace_back(origin, payload);
@@ -96,15 +96,6 @@ void AtomicBroadcast::checkpoint_load(Reader& reader) {
 void AtomicBroadcast::release_round_charges(RoundData& rd) {
   for (const auto& [peer, bytes] : rd.charges) host_.budget().release(peer, tag_, bytes);
   rd.charges.clear();
-}
-
-void AtomicBroadcast::note_delivered(Bytes digest) {
-  delivered_.insert(digest);
-  delivered_fifo_.push_back(std::move(digest));
-  if (delivered_fifo_.size() > kDeliveredCap) {
-    delivered_.erase(delivered_fifo_.front());
-    delivered_fifo_.pop_front();
-  }
 }
 
 Bytes AtomicBroadcast::batch_statement(int round, int party, BytesView payload_block) const {
@@ -325,7 +316,7 @@ void AtomicBroadcast::on_round_decided(int round, const Bytes& batch_set) {
     for (const Bytes& payload : entry.payloads) {
       Bytes digest = payload_digest(payload);
       if (delivered_.contains(digest)) continue;
-      note_delivered(std::move(digest));
+      delivered_.insert(std::move(digest));
       ++delivered_count_;
       chain_digest_ = crypto::chain_extend(chain_digest_, entry.party, payload);
       if (host_.wal_enabled()) delivered_log_.emplace_back(entry.party, payload);
@@ -569,7 +560,7 @@ bool AtomicBroadcast::install_checkpoint(const crypto::CheckpointCert& cert, Byt
   // Commit: deliver the suffix beyond our own progress.
   for (std::size_t i = delivered_count_; i < log.size(); ++i) {
     const auto& [origin, payload] = log[i];
-    note_delivered(payload_digest(payload));
+    delivered_.insert(payload_digest(payload));
     chain_digest_ = crypto::chain_extend(chain_digest_, origin, payload);
     ++delivered_count_;
     if (host_.wal_enabled()) delivered_log_.emplace_back(origin, payload);
